@@ -6,20 +6,30 @@ maximizes sum_j <phi| K[j][j] |phi> over PSD matrices K[x][j] subject to
     sum_x d K[x][j] = 1 sum_x tr K[x][j]   (each sub-POVM sums to c_j 1),
     sum_j K[x][j] = M_x.
 
-It is solved with a self-contained dense log-barrier interior-point method:
-Newton steps on the equality-constrained barrier subproblem, eliminating the
-block-diagonal Hessian against the constraint rows.  The equality multipliers
-at the final central point yield a feasible dual certificate (Y_x, G_j) whose
-objective upper-bounds the optimum, so every reported gap is certified rather
-than assumed.  Problem sizes here are tiny (m^2 d^2 real variables), which
-keeps the dense approach fast and dependency-free.
+It is solved with a self-contained log-barrier interior-point method: Newton
+steps on the equality-constrained barrier subproblem, posed as a least-squares
+problem in the scaled space of the block-diagonal barrier Hessian.  The
+equality multipliers at the final central point yield a feasible dual
+certificate (Y_x, G_j) whose objective upper-bounds the optimum, so every
+reported gap is certified rather than assumed.
+
+The constraint rows touch block (x, j) only through the identity rows of
+outcome x and the traceless rows of sub-POVM j.  From m n d^2 = 400 real
+variables on (d = 5, m = 4 and up) the normal matrix is therefore assembled
+blockwise and the outcome blocks are eliminated first, which leaves a Schur
+complement of size (n-1)(d^2-1) to factor (Fujisawa, Kojima and Nakata 1997;
+SDPT3).  Below that size Python call overhead dominates and the scaled
+constraint matrix is formed densely.  The affine projection onto the
+constraints uses the closed form of A A^T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize as scipy_minimize
 
 from .decompositions import Decomposition, verify_decomposition
@@ -171,7 +181,20 @@ def traceless_basis(d: int) -> np.ndarray:
 
 
 class _Structure:
-    """Constraint matrix and basis data for a given (d, m, n)."""
+    """Constraint data for a given (d, m, n).
+
+    Block (x, j) of the variable holds the coordinates of K[x][j] in the
+    Hermitian basis ``B``.  The constraint rows come in two groups:
+
+    * group 1, for j < n-1 and each traceless basis element t: the traceless
+      part of sum_x K[x][j] vanishes (the j = n-1 family is implied by group
+      2 and dropped to keep full row rank);
+    * group 2, for each x and basis element a: sum_j K[x][j] = M_x.
+
+    So A touches block (x, j) only through the rows ``tau`` of sub-POVM j
+    and the identity rows of outcome x; ``apply_A``/``apply_AT`` use that
+    instead of a dense matrix.
+    """
 
     def __init__(self, d: int, m: int, n: int):
         self.d, self.m, self.n = d, m, n
@@ -181,37 +204,66 @@ class _Structure:
         self.nvar = m * n * dd
         self.B = hermitian_basis(d)
         self.Ubig = self.B.reshape(dd, dd).T.copy()   # column a = vec(B_a)
-        T = traceless_basis(d)
-        tau = np.einsum("aij,tji->ta", self.B, T).real  # (dd-1, dd)
-        # Group 1: for j < n-1, traceless part of sum_x K[x][j] vanishes.
-        # (The j = n-1 family is implied by group 2 and dropped to keep full
-        # row rank.)  Group 2: sum_j K[x][j] = M_x, one row per (x, basis a).
-        n1 = (n - 1) * (dd - 1)
-        n2 = m * dd
-        A = np.zeros((n1 + n2, m, n, dd))
-        r = 0
-        for j in range(n - 1):
-            for t in range(dd - 1):
-                A[r, :, j, :] = tau[t]
-                r += 1
-        self.group2_start = r
-        for x in range(m):
-            for a in range(dd):
-                A[r, x, :, a] = 1.0
-                r += 1
-        self.A = A.reshape(n1 + n2, self.nvar)
-        self.ncon = n1 + n2
-        self.A3 = self.A.reshape(self.ncon, self.nblocks, dd)
+        self.T = traceless_basis(d)
+        self.tau = np.einsum("aij,tji->ta", self.B, self.T).real  # (dd-1, dd)
+        self.group2_start = (n - 1) * (dd - 1)
+        self.ncon = self.group2_start + m * dd
+        # Multiplier solve, dense -> blockwise (ms, one BLAS thread): nvar 256
+        # (d = m = 4) 0.37 -> 0.87, 324 (d = 6, m = 3) 0.79 -> 1.02, 400
+        # (d = 5, m = 4) 1.47 -> 1.07, 625 (d = m = 5) 3.13 -> 1.34.
+        self.structured = self.nvar >= 400
+
+    @cached_property
+    def A3(self) -> np.ndarray:
+        """Dense constraint matrix as (ncon, nblocks, dd), for the dense path."""
+        eye = np.eye(self.ncon)
+        return np.stack([self.apply_AT(row) for row in eye])
+
+    def apply_A(self, v: np.ndarray) -> np.ndarray:
+        """A v for v of any shape holding nvar entries."""
+        v = v.reshape(self.m, self.n, self.dd)
+        g1 = v[:, : self.n - 1].sum(axis=0) @ self.tau.T
+        return np.concatenate([g1.ravel(), v.sum(axis=1).ravel()])
+
+    def apply_AT(self, nu: np.ndarray) -> np.ndarray:
+        """A^T nu as (nblocks, dd)."""
+        m, n, dd = self.m, self.n, self.dd
+        out = np.repeat(nu[self.group2_start :].reshape(m, 1, dd), n, axis=1)
+        out[:, : n - 1] += nu[: self.group2_start].reshape(n - 1, dd - 1) @ self.tau
+        return out.reshape(self.nblocks, dd)
+
+    def project(self, k: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Euclidean projection of k onto the affine space {A k = b}."""
+        return k.reshape(self.nblocks, self.dd) + self.apply_AT(self._solve_AAT(b - self.apply_A(k)))
+
+    def _solve_AAT(self, r: np.ndarray) -> np.ndarray:
+        """(A A^T)^-1 r in closed form.
+
+        A A^T is m I on group 1 (tau has orthonormal rows), n I on group 2
+        and tau in every (sub-POVM j, outcome x) block, so with
+        s1 = sum_j y1_j and s2 = sum_x y2_x the system collapses to two
+        small equations.
+        """
+        m, n, dd, n1 = self.m, self.n, self.dd, self.group2_start
+        r1 = r[:n1].reshape(n - 1, dd - 1)
+        r2 = r[n1:].reshape(m, dd)
+        R2 = r2.sum(axis=0)
+        s1 = (n * r1.sum(axis=0) - (n - 1) * (self.tau @ R2)) / m
+        s2 = (R2 - m * (self.tau.T @ s1)) / n
+        y1 = (r1 - self.tau @ s2) / m
+        y2 = (r2 - self.tau.T @ s1) / n
+        return np.concatenate([y1.ravel(), y2.ravel()])
 
     def coords(self, M: np.ndarray) -> np.ndarray:
         return np.einsum("aij,ji->a", self.B, M).real
 
     def mats(self, k: np.ndarray) -> np.ndarray:
         """Coordinates (nblocks, dd) -> stacked matrices (nblocks, d, d)."""
-        return np.einsum("ba,aij->bij", k, self.B)
+        return (k @ self.B.reshape(self.dd, self.dd)).reshape(-1, self.d, self.d)
 
     def coords_of_stack(self, S: np.ndarray) -> np.ndarray:
-        return np.einsum("aij,bji->ba", self.B, S).real
+        flat = S.swapaxes(1, 2).reshape(-1, self.dd)
+        return (flat @ self.B.reshape(self.dd, self.dd).T).real
 
 
 _STRUCTURES: dict = {}
@@ -241,14 +293,26 @@ def _chol_logdet(K: np.ndarray) -> float | None:
     return 2.0 * float(np.sum(np.log(diags)))
 
 
+def _scaling(st: _Structure, k: np.ndarray) -> np.ndarray:
+    """Phi: coords(X) -> coords(R X R) per block, R = K^(1/2), as (nblocks, dd, dd).
+
+    Each Phi_b is the real symmetric matrix Re(U^H (R kron R^T) U).
+    """
+    w, V = np.linalg.eigh(st.mats(k))
+    w = np.maximum(w, 1e-300)
+    R = (V * np.sqrt(w)[:, None, :]) @ V.conj().swapaxes(1, 2)
+    T = (R[:, :, None, :, None] * R.swapaxes(1, 2)[:, None, :, None, :]).reshape(
+        st.nblocks, st.dd, st.dd
+    )
+    return np.real(st.Ubig.conj().T @ T @ st.Ubig)
+
+
 def _least_squares_multipliers(Atil: np.ndarray, gtil: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve min_nu ||Atil^T nu + gtil|| and return (nu, residual).
 
     Corrected seminormal equations (Cholesky plus one refinement sweep) with
     a QR fallback when the Gram matrix loses definiteness near the boundary.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
     rhs = Atil @ gtil
     try:
         fac = cho_factor(Atil @ Atil.T, lower=True, check_finite=False)
@@ -260,6 +324,79 @@ def _least_squares_multipliers(Atil: np.ndarray, gtil: np.ndarray) -> tuple[np.n
         nu = np.linalg.solve(Rqr, Q.T @ (-gtil))
     rtil = gtil + Atil.T @ nu
     return nu, rtil
+
+
+def _scaled_constraints(st: _Structure, Phi: np.ndarray) -> np.ndarray:
+    """The dense scaled constraint matrix Atil = A Phi, (ncon, nvar)."""
+    return np.matmul(st.A3.transpose(1, 0, 2), Phi).transpose(1, 0, 2).reshape(st.ncon, st.nvar)
+
+
+def _structured_multipliers(
+    st: _Structure, Phi: np.ndarray, gtil: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_least_squares_multipliers(A Phi, gtil)`` without forming A Phi.
+
+    The normal matrix A H A^T, H = blockdiag(Phi_b^2), has the outcome blocks
+    D_x = sum_j H_xj on its group-2 diagonal, tau C_j tau^T (C_j = sum_x H_xj)
+    on its group-1 diagonal and tau H_xj between sub-POVM j and outcome x.
+    The D_x are eliminated by Cholesky, D_x = L_x L_x^T, which leaves the
+    Schur complement S = blockdiag(tau C_j tau^T) - sum_x W_x^T W_x with
+    W_x = L_x^-1 [H_xj tau^T]_j to factor.  Falls back to the dense solve
+    when a factor loses definiteness.
+    """
+    m, n, dd, n1 = st.m, st.n, st.dd, st.group2_start
+    tau = st.tau
+    H = (Phi @ Phi).reshape(m, n, dd, dd)
+    try:
+        L = np.linalg.cholesky(H.sum(axis=1))
+        HtauT = (H[:, : n - 1] @ tau.T).transpose(0, 2, 1, 3).reshape(m, dd, n1)
+        W = np.stack([solve_triangular(L[x], HtauT[x], lower=True, check_finite=False)
+                      for x in range(m)])
+        Wf = W.reshape(m * dd, n1)
+        S = -(Wf.T @ Wf)
+        P = tau @ H[:, : n - 1].sum(axis=0) @ tau.T
+        for j in range(n - 1):
+            S[j * (dd - 1) : (j + 1) * (dd - 1), j * (dd - 1) : (j + 1) * (dd - 1)] += P[j]
+        fac = cho_factor(S, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return _least_squares_multipliers(_scaled_constraints(st, Phi), gtil)
+
+    def solve_normal(r: np.ndarray) -> np.ndarray:
+        y = np.stack([solve_triangular(L[x], r[n1 + x * dd : n1 + (x + 1) * dd], lower=True,
+                                       check_finite=False) for x in range(m)])
+        nu1 = cho_solve(fac, r[:n1] - Wf.T @ y.ravel(), check_finite=False)
+        y = y - W @ nu1
+        nu2 = [solve_triangular(L[x], y[x], lower=True, trans="T", check_finite=False)
+               for x in range(m)]
+        return np.concatenate([nu1, *nu2])
+
+    def phi_apply(v: np.ndarray) -> np.ndarray:
+        return (Phi @ v.reshape(st.nblocks, dd, 1)).reshape(st.nvar)
+
+    nu = solve_normal(-st.apply_A(phi_apply(gtil)))
+    rtil = gtil + phi_apply(st.apply_AT(nu))
+    nu = nu - solve_normal(st.apply_A(phi_apply(rtil)))
+    rtil = gtil + phi_apply(st.apply_AT(nu))
+    return nu, rtil
+
+
+def _shift_to_dual_feasible(
+    Y: list, G: list, proj: np.ndarray, reject_below: float = -np.inf
+) -> DualCertificate | None:
+    """Make (Y, G) dual feasible by adding the smallest uniform shift to every Y_x.
+
+    Returns None when the most negative slack eigenvalue is below
+    ``reject_below``.
+    """
+    m, n, d = len(Y), len(G), proj.shape[0]
+    Z = np.stack(Y)[:, None] - np.stack(G)[None, :]
+    Z[np.arange(min(m, n)), np.arange(min(m, n))] -= proj
+    min_slack = float(np.min(np.linalg.eigvalsh(Z)))
+    if min_slack < reject_below:
+        return None
+    if min_slack < 0.0:
+        Y = [Yx + (-min_slack + 1e-15) * np.eye(d) for Yx in Y]
+    return DualCertificate(tuple(Y), tuple(G))
 
 
 def solve_primal(
@@ -280,7 +417,7 @@ def solve_primal(
     d, m = povm.dim, povm.num_outcomes
     n = problem.num_subpovms
     if d > MAX_SDP_DIM or m > MAX_SDP_OUTCOMES:
-        raise ValidationError(f"dense solver supports d <= {MAX_SDP_DIM}, outcomes <= {MAX_SDP_OUTCOMES}")
+        raise ValidationError(f"solver supports d <= {MAX_SDP_DIM}, outcomes <= {MAX_SDP_OUTCOMES}")
 
     elements = [np.asarray(E) for E in povm.elements]
     restored = False
@@ -313,7 +450,6 @@ def solve_primal(
     t_final = nu_total / (0.25 * gap_target)
     t = cfg.barrier_mu0
     iters = 0
-    AT = st.A.T
 
     cblocks = c.reshape(nblocks, dd)
     svec_eye = st.coords(np.eye(d))
@@ -330,23 +466,14 @@ def solve_primal(
         """
         nu = np.zeros(st.ncon)
         for _ in range(_MAX_INNER):
-            K = st.mats(k)
-            w, V = np.linalg.eigh(K)
-            w = np.maximum(w, 1e-300)
-            R = (V * np.sqrt(w)[:, None, :]) @ V.conj().swapaxes(1, 2)  # K^(1/2)
-            # Phi = scaled-space map: coords(X) -> coords(R X R), as the
-            # real matrix Re(U^H (R kron R^T) U).
-            T = (R[:, :, None, :, None] * R.swapaxes(1, 2)[:, None, :, None, :]).reshape(
-                nblocks, dd, dd
-            )
-            Phi = np.real(st.Ubig.conj().T @ T @ st.Ubig)
+            Phi = _scaling(st, k)
             # Scaled gradient: Phi g = -t Phi c - svec(identity).
             gtil = -t * (Phi @ cblocks[:, :, None])[:, :, 0] - svec_eye[None, :]
             gtil = gtil.reshape(st.nvar)
-            Atil = np.matmul(st.A3.transpose(1, 0, 2), Phi).transpose(1, 0, 2).reshape(
-                st.ncon, st.nvar
-            )
-            nu, rtil = _least_squares_multipliers(Atil, gtil)
+            if st.structured:
+                nu, rtil = _structured_multipliers(st, Phi, gtil)
+            else:
+                nu, rtil = _least_squares_multipliers(_scaled_constraints(st, Phi), gtil)
             delta = -(Phi @ rtil.reshape(nblocks, dd)[:, :, None])[:, :, 0]
             lam2 = float(np.dot(rtil, rtil))
             if lam2 / 2.0 <= newton_tol:
@@ -363,6 +490,8 @@ def solve_primal(
             else:
                 # Damped phase: positive definiteness then Armijo backtracking.
                 logdet0 = _chol_logdet(st.mats(k))
+                if logdet0 is None:
+                    raise SolverError(f"Newton iterate is not positive definite (t={t:.3e})")
                 phi0 = -t * float(np.dot(c, k.reshape(st.nvar))) - logdet0
                 slope = -lam2
                 alpha = 1.0
@@ -388,37 +517,11 @@ def solve_primal(
     def extract_certificate(t: float, nu: np.ndarray) -> DualCertificate:
         # At the central point, -t c - svec(K^-1) + A^T nu = 0; the equality
         # multipliers nu give Y_x and (traceless) G_j after dividing by t.
-        Tbasis = traceless_basis(d)
-        G = []
-        for j in range(n):
-            if j == n - 1:
-                G.append(np.zeros((d, d), dtype=complex))
-                continue
-            seg = nu[j * (dd - 1) : (j + 1) * (dd - 1)]
-            G.append(-np.einsum("t,tij->ij", seg, Tbasis) / t)
-        Y = []
-        for x in range(m):
-            seg = nu[st.group2_start + x * dd : st.group2_start + (x + 1) * dd]
-            Y.append(np.einsum("a,aij->ij", seg, st.B) / t)
-        # Restore exact dual feasibility with a uniform shift if needed.
-        min_slack = min(
-            float(np.linalg.eigvalsh(Y[x] - (proj if x == j else 0.0) - G[j])[0])
-            for x in range(m)
-            for j in range(n)
-        )
-        if min_slack < 0.0:
-            Y = [Yx + (-min_slack + 1e-15) * np.eye(d) for Yx in Y]
-        return DualCertificate(tuple(Y), tuple(G))
-
-    AAT_factor = None
-
-    def _affine_project(kv: np.ndarray) -> np.ndarray:
-        nonlocal AAT_factor
-        from scipy.linalg import cho_factor, cho_solve
-
-        if AAT_factor is None:
-            AAT_factor = cho_factor(st.A @ AT, lower=True, check_finite=False)
-        return kv + AT @ cho_solve(AAT_factor, b - st.A @ kv, check_finite=False)
+        G = [-np.einsum("t,tij->ij", nu[j * (dd - 1) : (j + 1) * (dd - 1)], st.T) / t
+             for j in range(n - 1)] + [np.zeros((d, d), dtype=complex)]
+        Y = [np.einsum("a,aij->ij", nu[st.group2_start + x * dd : st.group2_start + (x + 1) * dd],
+                       st.B) / t for x in range(m)]
+        return _shift_to_dual_feasible(Y, G, proj)
 
     def round_primal(k: np.ndarray, cert: DualCertificate, value: float):
         """Round the center onto the optimal face identified by the dual.
@@ -435,26 +538,25 @@ def solve_primal(
                 Z = cert.Y[x] - cert.G[j] - (proj if x == j else 0.0)
                 w = np.linalg.eigvalsh(Z)
                 ranks.append(d - int(np.sum(w < tau * max(1.0, w[-1]))))
-        kv = k.reshape(st.nvar).copy()
+        kv = k
         for _ in range(400):
-            Kb = st.mats(kv.reshape(nblocks, dd))
+            Kb = st.mats(kv)
             w, V = np.linalg.eigh(Kb)
             for bidx, rank_cut in enumerate(ranks):
                 w[bidx, :rank_cut] = 0.0
             w = np.maximum(w, 0.0)
-            Kb = np.einsum("bik,bk,bjk->bij", V, w, V.conj())
-            kv = st.coords_of_stack(Kb).reshape(st.nvar)
-            resid = max_abs(st.A @ kv - b)
-            kv = _affine_project(kv)
+            Kb = (V * w[:, None, :]) @ V.conj().swapaxes(1, 2)
+            kv = st.coords_of_stack(Kb)
+            resid = max_abs(st.apply_A(kv) - b)
+            kv = st.project(kv, b)
             if resid <= 1e-13:
                 break
-        k_new = kv.reshape(nblocks, dd)
-        feas = max_abs(st.A @ kv - b)
-        min_eig = float(np.min(np.linalg.eigvalsh(st.mats(k_new))))
-        value_new = float(np.dot(c, kv))
+        feas = max_abs(st.apply_A(kv) - b)
+        min_eig = float(np.min(np.linalg.eigvalsh(st.mats(kv))))
+        value_new = float(np.dot(c, kv.reshape(st.nvar)))
         if feas > 1e-11 or min_eig < -1e-11 or value_new < value:
             return None
-        return k_new, value_new
+        return kv, value_new
 
     def round_dual(k: np.ndarray, cert: DualCertificate):
         """Fit (Y, G) to exact complementarity against the rounded primal.
@@ -464,7 +566,6 @@ def solve_primal(
         with a uniform shift and the candidate kept only if it tightens the
         certified bound.
         """
-        Tbasis = traceless_basis(d)
         ny = m * dd
         ng = (n - 1) * (dd - 1)
         rows = []
@@ -478,7 +579,7 @@ def solve_primal(
                 for idx in range(cols.shape[1]):
                     v = cols[:, idx]
                     Yv = np.einsum("aij,j->ai", st.B, v)          # (dd, d)
-                    Gv = np.einsum("tij,j->ti", Tbasis, v)        # (dd-1, d)
+                    Gv = np.einsum("tij,j->ti", st.T, v)          # (dd-1, d)
                     row = np.zeros((d, ny + ng), dtype=complex)
                     row[:, x * dd : (x + 1) * dd] = Yv.T
                     if j < n - 1:
@@ -490,19 +591,10 @@ def solve_primal(
         sol, *_ = np.linalg.lstsq(Arow, brow, rcond=None)
         Y = [np.einsum("a,aij->ij", sol[x * dd : (x + 1) * dd], st.B) for x in range(m)]
         G = [
-            np.einsum("t,tij->ij", sol[ny + j * (dd - 1) : ny + (j + 1) * (dd - 1)], Tbasis)
+            np.einsum("t,tij->ij", sol[ny + j * (dd - 1) : ny + (j + 1) * (dd - 1)], st.T)
             for j in range(n - 1)
         ] + [np.zeros((d, d), dtype=complex)]
-        min_slack = min(
-            float(np.linalg.eigvalsh(Y[x] - (proj if x == j else 0.0) - G[j])[0])
-            for x in range(m)
-            for j in range(n)
-        )
-        if min_slack < -1e-6:
-            return None
-        if min_slack < 0.0:
-            Y = [Yx + (-min_slack + 1e-15) * np.eye(d) for Yx in Y]
-        return DualCertificate(tuple(Y), tuple(G))
+        return _shift_to_dual_feasible(Y, G, proj, reject_below=-1e-6)
 
     cert = None
     value = dual_value = 0.0
@@ -517,21 +609,25 @@ def solve_primal(
         # Re-project onto the affine constraint manifold (undo solve drift),
         # then restore strict positivity if the projection grazed the
         # boundary (mixing with the feasible start keeps A k = b exactly).
-        kv = k.reshape(st.nvar)
-        drift = b - st.A @ kv
-        if max_abs(drift) > 0.0:
-            kv = kv + AT @ np.linalg.lstsq(st.A @ AT, drift, rcond=None)[0]
-            k = kv.reshape(nblocks, dd)
+        k_feas = st.project(k, b)
         theta = 1e-9
-        while _chol_logdet(st.mats(k)) is None and theta < 1e-2:
-            k = (1.0 - theta) * k + theta * k0
+        inside = _chol_logdet(st.mats(k_feas)) is not None
+        while not inside and theta < 1e-2:
+            k_feas = (1.0 - theta) * k_feas + theta * k0
             theta *= 10.0
+            inside = _chol_logdet(st.mats(k_feas)) is not None
         cert = extract_certificate(t, nu)
-        value = float(np.dot(c, k.reshape(st.nvar)))
+        value = float(np.dot(c, k_feas.reshape(st.nvar)))
         dual_value = cert.dual_value(povm)
         if dual_value - value <= gap_target:
             break
         t_final *= 5.0  # certified gap too large: push the barrier further
+        # The next stage starts from the repaired point, which clears the
+        # drift, unless it is still outside the PSD cone: then from the
+        # (positive definite) centre.
+        if inside:
+            k = k_feas
+    k = k_feas
 
     if polish:
         rounded = round_primal(k, cert, value)
@@ -562,10 +658,6 @@ def solve_primal(
         restored=restored,
         certificate=cert,
     )
-
-
-def guessing_probability(povm: Povm, state: PureState, config: SolverConfig | None = None) -> SolveResult:
-    return solve_primal(PrimalProblem(povm, state), config)
 
 
 # ---------------------------------------------------------------------------

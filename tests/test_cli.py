@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qmrand import jsonio
-from qmrand.cli import EXIT_INPUT, EXIT_OK, EXIT_VALIDATION, main
+from qmrand.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from qmrand.decompositions import sqrt_decomposition_qudit, trivial_decomposition
 from qmrand.povm import NoiseModel, Povm, noisy_projective, unbiased_state
 
@@ -82,6 +82,16 @@ class TestCompute:
         rep = json.loads(out)
         assert rep["method"] == "sdp"
         assert 1 / 3 <= rep["pguess"] <= 1.0
+
+    def test_solver_error_exit_3(self, files, capsys):
+        tmp, write = files
+        povm = write("povm.json", jsonio.povm_to_json(Povm((np.eye(2), np.zeros((2, 2))))))
+        state = write("state.json", jsonio.state_to_json(unbiased_state(2)))
+        code = main(["compute", povm, "--state", state])
+        err = capsys.readouterr().err
+        assert code == EXIT_SOLVER
+        assert err.startswith("solver error:")
+        assert "Traceback" not in err
 
     def test_writes_output_file(self, files, capsys):
         tmp, write = files

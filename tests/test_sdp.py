@@ -81,6 +81,66 @@ class TestSolvePrimal:
         with pytest.raises(ValidationError):
             solve_primal(PrimalProblem(noisy_projective(9, 0.5), unbiased_state(9)))
 
+    @pytest.mark.parametrize("d, eps", [(6, 1e-6), (8, 0.5)])
+    def test_large_noisy_projective_brackets_closed_form(self, d, eps):
+        # eps = 1e-6: the re-projected iterate leaves the PSD cone after the
+        # first barrier path; the next stage must restart from the centre
+        pstar = pguess_star_noisy_projective(NoiseModel(d, eps)).pguess
+        res = solve_primal(PrimalProblem(noisy_projective(d, eps), unbiased_state(d)))
+        assert not res.restored
+        assert res.value <= pstar + 1e-9 <= res.dual_value + 2e-9
+        assert res.gap >= -1e-12
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_zero_element_raises_solver_error(self, d):
+        pv = Povm((np.eye(d), np.zeros((d, d))))
+        with pytest.raises(SolverError, match="not positive definite"):
+            solve_primal(PrimalProblem(pv, unbiased_state(d)))
+
+
+def _random_scaling(rng, st):
+    X = rng.normal(size=(st.nblocks, st.d, st.d)) + 1j * rng.normal(size=(st.nblocks, st.d, st.d))
+    K = X @ X.conj().swapaxes(1, 2) + 1e-3 * np.eye(st.d)
+    return sdp._scaling(st, st.coords_of_stack(K))
+
+
+class TestNewtonSystem:
+    @pytest.mark.parametrize("d", [5, 6])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_structured_multipliers_match_dense(self, rng, d, m):
+        st = sdp._structure(d, m, m)
+        Phi = _random_scaling(rng, st)
+        gtil = rng.normal(size=st.nvar)
+        nu_dense, r_dense = sdp._least_squares_multipliers(sdp._scaled_constraints(st, Phi), gtil)
+        nu, rtil = sdp._structured_multipliers(st, Phi, gtil)
+        assert np.linalg.norm(nu - nu_dense) <= 1e-10 * np.linalg.norm(nu_dense)
+        assert np.linalg.norm(rtil - r_dense) <= 1e-10 * np.linalg.norm(r_dense)
+
+    def test_structured_falls_back_to_dense(self, rng, monkeypatch):
+        st = sdp._structure(5, 3, 3)
+        Phi = _random_scaling(rng, st)
+        gtil = rng.normal(size=st.nvar)
+        nu_dense, r_dense = sdp._least_squares_multipliers(sdp._scaled_constraints(st, Phi), gtil)
+
+        def not_pd(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(sdp.np.linalg, "cholesky", not_pd)
+        nu, rtil = sdp._structured_multipliers(st, Phi, gtil)
+        assert np.array_equal(nu, nu_dense) and np.array_equal(rtil, r_dense)
+
+    @pytest.mark.parametrize("d, m", [(2, 2), (3, 4), (5, 3)])
+    def test_affine_projection_matches_dense(self, rng, d, m):
+        st = sdp._structure(d, m, m)
+        A = st.A3.reshape(st.ncon, st.nvar)
+        k = rng.normal(size=st.nvar)
+        b = rng.normal(size=st.ncon)
+        assert np.allclose(st.apply_A(k), A @ k, rtol=0, atol=1e-12)
+        ref = k + A.T @ np.linalg.lstsq(A @ A.T, b - A @ k, rcond=None)[0]
+        proj = st.project(k, b).reshape(st.nvar)
+        assert np.allclose(proj, ref, rtol=0, atol=1e-12)
+        assert np.allclose(A @ proj, b, rtol=0, atol=1e-12)
+
 
 class TestAnalyticDualCertificate:
     def test_qutrit_objective(self):
