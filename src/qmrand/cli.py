@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: ``compute`` (guessing probability / min-entropy of a POVM),
-``certify`` (check a decomposition and a dual certificate), ``sweep``
-(figure data as CSV), ``entropies`` (entropy-curve CSV for one dimension),
-``coarse`` (coarse-graining study) and ``joint-noise`` (shared-noise attack).
-Outcome indices in human-readable output are 1-based.
+``certify`` (check a decomposition and a dual certificate), ``sweep --fig3``
+(shared- vs single-noise curves as CSV), ``entropies`` (entropy-curve CSV for
+one dimension), ``coarse`` (coarse-graining study) and ``joint-noise``
+(shared-noise attack).  Outcome indices in human-readable output are 1-based.
 
 Exit codes: 0 success and all validations passed, 1 validation failure,
-2 malformed input or usage error, 3 solver failure.
+2 malformed input or usage error (bad numbers included: a tolerance that is
+not finite and positive, a solver config that fails ``SolverConfig``'s
+checks, a grid outside 1..10000 points), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -64,9 +67,15 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 
-def _default_tol() -> float:
-    env = os.environ.get("QRAND_TOL")
-    return float(env) if env else 1e-9
+def _verify_tol(args) -> float:
+    """The validation tolerance: --tol, else QRAND_TOL, else 1e-9; checked like SolverConfig.tol."""
+    tol, env = args.tol, os.environ.get("QRAND_TOL")
+    if tol is None:
+        try:
+            tol = float(env) if env else 1e-9
+        except ValueError:
+            raise ValidationError(f"QRAND_TOL must be a number, got {env!r}") from None
+    return SolverConfig(tol=tol).tol
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -91,7 +100,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an int over 4300 digits
         raise ValidationError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -101,8 +110,15 @@ def _solver_config(args) -> SolverConfig:
     else:
         cfg = SolverConfig()
     if getattr(args, "tol", None) is not None:
-        cfg = SolverConfig(**{**cfg.to_json_dict(), "tol": args.tol})
+        cfg = replace(cfg, tol=args.tol)
     return cfg
+
+
+def _grid(points: int) -> np.ndarray:
+    """``points`` evenly spaced values on [0, 1], for 1 <= points <= 10000."""
+    if not 1 <= points <= 10_000:
+        raise ValidationError(f"grid size must be between 1 and 10000 points, got {points}")
+    return np.linspace(0.0, 1.0, points)
 
 
 def _csv_text(header, rows) -> str:
@@ -180,7 +196,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _verify_tol(args)
     cfg = _solver_config(args)
     povm = jsonio.povm_from_json(_load_json(args.povm))
     state = jsonio.state_from_json(_load_json(args.state))
@@ -227,43 +243,25 @@ def cmd_certify(args) -> int:
 
 
 def _entropy_csv(d: int, points: int) -> str:
-    grid = np.linspace(0.0, 1.0, points)
+    columns = ["epsilon", "hmax_bound", "vn_bound", "state_vn_star", "hmin_star"]
     rows = []
-    for eps in grid:
+    for eps in _grid(points):
         row = entropy_curve_point(NoiseModel(d, float(eps)))
-        rows.append(
-            (
-                row["epsilon"],
-                row["hmax_bound"],
-                row["vn_bound"],
-                row["state_vn_star"],
-                row["hmin_star"],
-            )
-        )
-    return _csv_text(["epsilon", "hmax_bound", "vn_bound", "state_vn_star", "hmin_star"], rows)
+        rows.append(tuple(row[name] for name in columns))
+    return _csv_text(columns, rows)
 
 
 def cmd_sweep(args) -> int:
-    if args.points > 10_000:
-        raise ValidationError("grid size is capped at 10000 points")
-    if args.fig3:
-        grid = np.linspace(0.0, 1.0, args.points)
-        points = sweep_curves(grid)
-        text = _csv_text(
-            ["delta", "single_noise", "shared_lower_bound"],
-            [(p.delta, p.single_noise_pguess, p.shared_noise_lower_bound) for p in points],
-        )
-    elif args.entropies is not None:
-        text = _entropy_csv(args.entropies, args.points)
-    else:
-        raise ValidationError("choose --fig3 or --entropies D")
+    points = sweep_curves(_grid(args.points))
+    text = _csv_text(
+        ["delta", "single_noise", "shared_lower_bound"],
+        [(p.delta, p.single_noise_pguess, p.shared_noise_lower_bound) for p in points],
+    )
     _write_text(args.output, text)
     return EXIT_OK
 
 
 def cmd_entropies(args) -> int:
-    if args.points > 10_000:
-        raise ValidationError("grid size is capped at 10000 points")
     _write_text(args.output, _entropy_csv(args.d, args.points))
     return EXIT_OK
 
@@ -322,7 +320,7 @@ def cmd_coarse(args) -> int:
 
 def cmd_joint_noise(args) -> int:
     eps = args.epsilon
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _verify_tol(args)
     jd = joint_noise_decomposition(eps)
     check = jd.validate(tol)
     delta = NoiseModel(2, eps).delta
@@ -394,9 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("sweep", help="emit figure data as CSV")
-    p.add_argument("--fig3", action="store_true", help="shared vs single noise curves")
-    p.add_argument("--entropies", type=int, default=None, metavar="D",
-                   help="entropy curves for dimension D")
+    p.add_argument("--fig3", action="store_true", required=True,
+                   help="shared vs single noise curves")
     p.add_argument("--points", type=int, default=101)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_sweep)

@@ -1,10 +1,11 @@
-"""JSON and CSV wire formats used by the CLI.
+"""JSON wire formats used by the CLI.
 
 Matrices are ``{"dim": d, "entries": [[[re, im], ...], ...]}`` (row-major),
 POVMs ``{"dim": d, "elements": [<matrix>, ...]}``, states
 ``{"dim": d, "amplitudes": [[re, im], ...]}``, and decompositions
 ``{"dim": d, "outcomes": m, "subpovms": n, "K": [[<matrix>, ...], ...]}``.
-All emitted numbers carry 12 significant digits.
+All emitted numbers, the CLI's CSV output included, carry 12 significant
+digits.
 """
 
 from __future__ import annotations
@@ -121,20 +122,3 @@ def decomposition_report_to_json(report: DecompositionReport) -> dict:
         "tol": report.tol,
         "passed": report.passed,
     }
-
-
-def entropy_report_to_json(report) -> dict:
-    return {
-        "hmin": report.hmin,
-        "h_vn": report.h_vn,
-        "hmax": report.hmax,
-        "p_secr": report.p_secr,
-        "bounds": dict(report.bounds),
-    }
-
-
-def write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.{SIGNIFICANT_DIGITS}g}" for v in row) + "\n")

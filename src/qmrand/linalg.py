@@ -64,10 +64,6 @@ def require_hermitian(H, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return 0.5 * (H + H.conj().T)
 
 
-def dagger(A: np.ndarray) -> np.ndarray:
-    return np.asarray(A).conj().T
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition of a Hermitian operator.

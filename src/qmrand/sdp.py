@@ -13,6 +13,16 @@ equality multipliers at the final central point yield a feasible dual
 certificate (Y_x, G_j) whose objective upper-bounds the optimum, so every
 reported gap is certified rather than assumed.
 
+``solve_primal`` runs as named stages: restore a rank-deficient POVM with
+``restore_eta`` of white noise; build the constraint data ``b``, ``c`` and
+the start ``k0``; follow the barrier path (``_barrier_path``: centring by
+``_newton_center``, affine repair, ``_extract_certificate``, and a further
+push while the certified gap is too large); polish (``_round_primal`` onto
+the optimal face, then ``_round_dual`` to exact complementarity); and verify
+the decomposition against the gap gate.  The dual slack
+Y_x - G_j - d_xj P_phi is formed only by ``DualCertificate.slacks``, and
+multipliers become (Y, G) only through ``_Structure.dual``.
+
 The constraint rows touch block (x, j) only through the identity rows of
 outcome x and the traceless rows of sub-POVM j.  From m n d^2 = 400 real
 variables on (d = 5, m = 4 and up) the normal matrix is therefore assembled
@@ -25,8 +35,10 @@ constraints uses the closed form of A A^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+import numbers
+import sys
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -51,10 +63,18 @@ _NEWTON_TOL_PATH = 1e-5      # loose centering while t still grows
 _MAX_INNER = 60
 _ARMIJO = 0.25
 
+# Lower bound of each SolverConfig field and whether the bound itself is excluded.
+_CONFIG_BOUNDS = {"tol": (0, True), "max_iters": (1, False), "barrier_mu0": (0, True),
+                  "restore_eta": (0, False), "multistarts": (0, False), "seed": (0, False)}
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunables of the interior-point solver and the state search."""
+    """Tunables of the interior-point solver and the state search.
+
+    Every field is checked on construction: a finite number of the annotated
+    kind (int or float) above its lower bound, else ``ValidationError``.
+    """
 
     tol: float = 1e-6
     max_iters: int = 200
@@ -63,22 +83,26 @@ class SolverConfig:
     multistarts: int = 32
     seed: int = 7
 
+    def __post_init__(self):
+        for f in fields(self):
+            value, (low, strict) = getattr(self, f.name), _CONFIG_BOUNDS[f.name]
+            integral = f.type in ("int", int)
+            # Integer fields take ints of any size; float fields must fit a finite float.
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral if integral else numbers.Real)
+                    or not (integral or abs(value) <= sys.float_info.max)
+                    or value < low or (strict and value == low)):
+                raise ValidationError(f"{f.name} must be a finite {f.type} "
+                                      f"{'>' if strict else '>='} {low}, got {value!r}")
+
     def to_json_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "max_iters": self.max_iters,
-            "barrier_mu0": self.barrier_mu0,
-            "restore_eta": self.restore_eta,
-            "multistarts": self.multistarts,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SolverConfig":
-        known = {f: data[f] for f in
-                 ("tol", "max_iters", "barrier_mu0", "restore_eta", "multistarts", "seed")
-                 if f in data}
-        return cls(**known)
+        if not isinstance(data, dict):
+            raise ValidationError("solver config must be a JSON object")
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 @dataclass(frozen=True)
@@ -111,6 +135,18 @@ class DualCertificate:
 
     def dual_value(self, povm: Povm) -> float:
         return float(sum(np.real(np.trace(Y @ M)) for Y, M in zip(self.Y, povm.elements)))
+
+    def slacks(self, proj: np.ndarray) -> np.ndarray:
+        """The slacks Z[x, j] = Y_x - G_j - d_xj proj as an (m, n, d, d) stack.
+
+        The certificate is feasible at the state with projector ``proj`` when
+        every slack is PSD and every G_j is traceless.  The constructor stores
+        Y and G as complex matrices, so the stack can take a complex ``proj``.
+        """
+        Z = np.stack(self.Y)[:, None] - np.stack(self.G)[None, :]
+        diag = np.arange(min(len(self.Y), len(self.G)))
+        Z[diag, diag] -= proj
+        return Z
 
 
 @dataclass(frozen=True)
@@ -158,25 +194,17 @@ def hermitian_basis(d: int) -> np.ndarray:
 
 
 def traceless_basis(d: int) -> np.ndarray:
-    """Orthonormal basis of the traceless Hermitian subspace (d^2 - 1)."""
-    out = np.zeros((d * d - 1, d, d), dtype=complex)
-    k = 0
+    """Orthonormal basis of the traceless Hermitian subspace (d^2 - 1).
+
+    The d - 1 diagonal elements are the generalized Gell-Mann matrices; the
+    off-diagonal ones are those of ``hermitian_basis``.
+    """
+    out = hermitian_basis(d)[1:]
     for r in range(1, d):
         v = np.zeros(d)
         v[:r] = 1.0
         v[r] = -r
-        v /= np.sqrt(r * (r + 1))
-        out[k] = np.diag(v)
-        k += 1
-    inv = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            out[k, i, j] = inv
-            out[k, j, i] = inv
-            k += 1
-            out[k, i, j] = -1j * inv
-            out[k, j, i] = 1j * inv
-            k += 1
+        out[r - 1] = np.diag(v / np.sqrt(r * (r + 1)))
     return out
 
 
@@ -208,6 +236,7 @@ class _Structure:
         self.tau = np.einsum("aij,tji->ta", self.B, self.T).real  # (dd-1, dd)
         self.group2_start = (n - 1) * (dd - 1)
         self.ncon = self.group2_start + m * dd
+        self.eye_coords = self.coords(np.eye(d))
         # Multiplier solve, dense -> blockwise (ms, one BLAS thread): nvar 256
         # (d = m = 4) 0.37 -> 0.87, 324 (d = 6, m = 3) 0.79 -> 1.02, 400
         # (d = 5, m = 4) 1.47 -> 1.07, 625 (d = m = 5) 3.13 -> 1.34.
@@ -254,6 +283,20 @@ class _Structure:
         y2 = (r2 - self.tau.T @ s1) / n
         return np.concatenate([y1.ravel(), y2.ravel()])
 
+    def dual(self, nu: np.ndarray) -> tuple[list, list]:
+        """Dual matrices (Y, G) of multipliers ``nu`` in constraint-row layout.
+
+        ``mats(apply_AT(nu))[x n + j]`` is Y_x - G_j: the group-2 rows of
+        outcome x give Y_x and the group-1 rows of sub-POVM j give -G_j, with
+        G_{n-1} = 0 because that family of rows is dropped.
+        """
+        n1, dd = self.group2_start, self.dd
+        Y = [np.einsum("a,aij->ij", nu[n1 + x * dd : n1 + (x + 1) * dd], self.B)
+             for x in range(self.m)]
+        G = [-np.einsum("t,tij->ij", nu[j * (dd - 1) : (j + 1) * (dd - 1)], self.T)
+             for j in range(self.n - 1)] + [np.zeros((self.d, self.d), dtype=complex)]
+        return Y, G
+
     def coords(self, M: np.ndarray) -> np.ndarray:
         return np.einsum("aij,ji->a", self.B, M).real
 
@@ -266,14 +309,9 @@ class _Structure:
         return (flat @ self.B.reshape(self.dd, self.dd).T).real
 
 
-_STRUCTURES: dict = {}
-
-
+@cache
 def _structure(d: int, m: int, n: int) -> _Structure:
-    key = (d, m, n)
-    if key not in _STRUCTURES:
-        _STRUCTURES[key] = _Structure(d, m, n)
-    return _STRUCTURES[key]
+    return _Structure(d, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -381,22 +419,213 @@ def _structured_multipliers(
 
 
 def _shift_to_dual_feasible(
-    Y: list, G: list, proj: np.ndarray, reject_below: float = -np.inf
+    cert: DualCertificate, proj: np.ndarray, reject_below: float = -np.inf
 ) -> DualCertificate | None:
-    """Make (Y, G) dual feasible by adding the smallest uniform shift to every Y_x.
+    """Make ``cert`` dual feasible by adding the smallest uniform shift to every Y_x.
 
     Returns None when the most negative slack eigenvalue is below
     ``reject_below``.
     """
-    m, n, d = len(Y), len(G), proj.shape[0]
-    Z = np.stack(Y)[:, None] - np.stack(G)[None, :]
-    Z[np.arange(min(m, n)), np.arange(min(m, n))] -= proj
-    min_slack = float(np.min(np.linalg.eigvalsh(Z)))
+    min_slack = float(np.min(np.linalg.eigvalsh(cert.slacks(proj))))
     if min_slack < reject_below:
         return None
     if min_slack < 0.0:
-        Y = [Yx + (-min_slack + 1e-15) * np.eye(d) for Yx in Y]
-    return DualCertificate(tuple(Y), tuple(G))
+        shift = (-min_slack + 1e-15) * np.eye(proj.shape[0])
+        cert = DualCertificate(tuple(Yx + shift for Yx in cert.Y), cert.G)
+    return cert
+
+
+def _newton_center(
+    st: _Structure, c: np.ndarray, t: float, k: np.ndarray, iters: int, newton_tol: float,
+    max_iters: int,
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Center at barrier weight t, starting from k.  Returns (k, iters, multipliers).
+
+    The Newton system is solved in the scaled space where the barrier
+    Hessian is the square of Phi^-1, Phi being conjugation by K^(1/2):
+    there the step is a plain least-squares solve, which stays accurate
+    even when K approaches the boundary along the central path.  ``iters``
+    counts Newton steps across the whole path; more than ``max_iters``
+    raises ``SolverError``.
+    """
+    nblocks, dd = st.nblocks, st.dd
+    cblocks = c.reshape(nblocks, dd)
+    nu = np.zeros(st.ncon)
+    for _ in range(_MAX_INNER):
+        Phi = _scaling(st, k)
+        # Scaled gradient: Phi g = -t Phi c - svec(identity).
+        gtil = -t * (Phi @ cblocks[:, :, None])[:, :, 0] - st.eye_coords[None, :]
+        gtil = gtil.reshape(st.nvar)
+        if st.structured:
+            nu, rtil = _structured_multipliers(st, Phi, gtil)
+        else:
+            nu, rtil = _least_squares_multipliers(_scaled_constraints(st, Phi), gtil)
+        delta = -(Phi @ rtil.reshape(nblocks, dd)[:, :, None])[:, :, 0]
+        lam2 = float(np.dot(rtil, rtil))
+        if lam2 / 2.0 <= newton_tol:
+            break
+        if lam2 <= 0.25:
+            # Quadratic-convergence region: take the full Newton step.
+            # (The Armijo decrease is far below the float resolution of
+            # the barrier value at large t, so testing it would stall.)
+            alpha = 1.0
+            while alpha > 1e-8 and _chol_logdet(st.mats(k + alpha * delta)) is None:
+                alpha *= 0.5
+            if alpha <= 1e-8:
+                break
+        else:
+            # Damped phase: positive definiteness then Armijo backtracking.
+            logdet0 = _chol_logdet(st.mats(k))
+            if logdet0 is None:
+                raise SolverError(f"Newton iterate is not positive definite (t={t:.3e})")
+            phi0 = -t * float(np.dot(c, k.reshape(st.nvar))) - logdet0
+            slope = -lam2
+            alpha = 1.0
+            for _ in range(60):
+                trial = k + alpha * delta
+                logdet = _chol_logdet(st.mats(trial))
+                if logdet is not None:
+                    phi = -t * float(np.dot(c, trial.reshape(st.nvar))) - logdet
+                    if phi <= phi0 + _ARMIJO * alpha * slope:
+                        break
+                alpha *= 0.5
+            else:
+                break  # no progress possible at this scale
+        k = k + alpha * delta
+        iters += 1
+        if iters > max_iters:
+            raise SolverError(
+                f"interior-point iteration cap {max_iters} exceeded "
+                f"(t={t:.3e}, newton decrement^2={lam2:.3e})"
+            )
+    return k, iters, nu
+
+
+def _extract_certificate(
+    st: _Structure, t: float, nu: np.ndarray, proj: np.ndarray
+) -> DualCertificate:
+    """The dual certificate of the multipliers at barrier weight t.
+
+    At the central point -t c - svec(K^-1) + A^T nu = 0, so nu / t are dual
+    multipliers; the uniform shift repairs what inexact centring leaves.
+    """
+    Y, G = st.dual(nu)
+    return _shift_to_dual_feasible(
+        DualCertificate(tuple(Yx / t for Yx in Y), tuple(Gj / t for Gj in G)), proj
+    )
+
+
+def _barrier_path(
+    st: _Structure, povm: Povm, b: np.ndarray, c: np.ndarray, k0: np.ndarray,
+    proj: np.ndarray, cfg: SolverConfig,
+) -> tuple[np.ndarray, DualCertificate, float, float, int]:
+    """Follow the central path from k0 until the certified gap is at most cfg.tol.
+
+    Each attempt grows t geometrically up to t_final, re-projects the last
+    centre onto A k = b and extracts a certificate; while the certified gap
+    is too large, t_final grows fivefold (four attempts in all).  Returns
+    (k, cert, value, dual_value, iterations).
+    """
+    t_final = st.m * st.n * st.d / (0.25 * cfg.tol)
+    t, k, iters = cfg.barrier_mu0, k0, 0
+    for _ in range(4):
+        while True:
+            final_stage = t >= t_final
+            tol_inner = _NEWTON_TOL if final_stage else _NEWTON_TOL_PATH
+            k, iters, nu = _newton_center(st, c, t, k, iters, tol_inner, cfg.max_iters)
+            if final_stage:
+                break
+            t = min(t * _MU_GROWTH, t_final)
+        # Re-project onto the affine constraint manifold (undo solve drift),
+        # then restore strict positivity if the projection grazed the
+        # boundary (mixing with the feasible start keeps A k = b exactly).
+        k_feas = st.project(k, b)
+        theta = 1e-9
+        inside = _chol_logdet(st.mats(k_feas)) is not None
+        while not inside and theta < 1e-2:
+            k_feas = (1.0 - theta) * k_feas + theta * k0
+            theta *= 10.0
+            inside = _chol_logdet(st.mats(k_feas)) is not None
+        cert = _extract_certificate(st, t, nu, proj)
+        value = float(np.dot(c, k_feas.reshape(st.nvar)))
+        dual_value = cert.dual_value(povm)
+        if dual_value - value <= cfg.tol:
+            break
+        t_final *= 5.0  # certified gap too large: push the barrier further
+        # The next stage starts from the repaired point, which clears the
+        # drift, unless it is still outside the PSD cone: then from the
+        # (positive definite) centre.
+        if inside:
+            k = k_feas
+    return k_feas, cert, value, dual_value, iters
+
+
+def _round_primal(
+    st: _Structure, b: np.ndarray, c: np.ndarray, k: np.ndarray, value: float, gap: float,
+    slacks: np.ndarray,
+) -> tuple[np.ndarray, float] | None:
+    """Round the center onto the optimal face identified by the dual slacks.
+
+    The optimal K[x][j] lives in the near-kernel of the dual slack Z[x][j]
+    (eigenvalues below sqrt(gap), relative).  Alternating projections
+    between the affine constraint space and the blockwise rank-r PSD cone
+    (r from the slack spectrum) converge to that face; the result is
+    returned as (k, value) only if it verifies and does not lower the value.
+    """
+    d = st.d
+    tau = max(np.sqrt(max(gap, 0.0)), 1e-9)
+    w = np.linalg.eigvalsh(slacks).reshape(st.nblocks, d)
+    ranks = d - np.sum(w < tau * np.maximum(1.0, w[:, -1:]), axis=1)
+    drop = np.arange(d) < ranks[:, None]   # the rank(Z) smallest eigenvalues of each block
+    kv = k
+    for _ in range(400):
+        w, V = np.linalg.eigh(st.mats(kv))
+        w[drop] = 0.0
+        w = np.maximum(w, 0.0)
+        kv = st.coords_of_stack((V * w[:, None, :]) @ V.conj().swapaxes(1, 2))
+        resid = max_abs(st.apply_A(kv) - b)
+        kv = st.project(kv, b)
+        if resid <= 1e-13:
+            break
+    feas = max_abs(st.apply_A(kv) - b)
+    min_eig = float(np.min(np.linalg.eigvalsh(st.mats(kv))))
+    value_new = float(np.dot(c, kv.reshape(st.nvar)))
+    if feas > 1e-11 or min_eig < -1e-11 or value_new < value:
+        return None
+    return kv, value_new
+
+
+def _round_dual(st: _Structure, k: np.ndarray, proj: np.ndarray) -> DualCertificate | None:
+    """Fit (Y, G) to exact complementarity against the rounded primal k.
+
+    Solving Z[x][j] v = 0 for every populated eigenvector v of K[x][j]
+    in least squares lands on the dual optimum; feasibility is restored
+    with a uniform shift, and None is returned when the fit is too far off.
+    """
+    m, n, d, dd = st.m, st.n, st.d, st.dd
+    ny = m * dd
+    ng = (n - 1) * (dd - 1)
+    rows = []
+    rhs = []
+    Kb = st.mats(k)
+    for x in range(m):
+        for j in range(n):
+            w, V = np.linalg.eigh(Kb[x * n + j])
+            for v in V[:, w > max(w[-1], 0.0) * 1e-7 + 1e-12].T:
+                row = np.zeros((d, ny + ng), dtype=complex)
+                row[:, x * dd : (x + 1) * dd] = np.einsum("aij,j->ai", st.B, v).T
+                if j < n - 1:
+                    row[:, ny + j * (dd - 1) : ny + (j + 1) * (dd - 1)] = -np.einsum(
+                        "tij,j->ti", st.T, v).T
+                rows.append(row)
+                rhs.append((proj @ v) if x == j else np.zeros(d, dtype=complex))
+    Arow = np.concatenate([np.vstack([r.real, r.imag]) for r in rows])
+    brow = np.concatenate([np.concatenate([v.real, v.imag]) for v in rhs])
+    sol, *_ = np.linalg.lstsq(Arow, brow, rcond=None)
+    # sol holds the Y coordinates, then the G coordinates; in constraint-row
+    # layout the group-1 multipliers come first and carry -G.
+    Y, G = st.dual(np.concatenate([-sol[ny:], sol[:ny]]))
+    return _shift_to_dual_feasible(DualCertificate(tuple(Y), tuple(G)), proj, reject_below=-1e-6)
 
 
 def solve_primal(
@@ -419,233 +648,46 @@ def solve_primal(
     if d > MAX_SDP_DIM or m > MAX_SDP_OUTCOMES:
         raise ValidationError(f"solver supports d <= {MAX_SDP_DIM}, outcomes <= {MAX_SDP_OUTCOMES}")
 
+    # Restore: mix a rank-deficient POVM with white noise.
     elements = [np.asarray(E) for E in povm.elements]
-    restored = False
-    min_eig = min(float(np.linalg.eigvalsh(E)[0]) for E in elements)
-    if min_eig < 10.0 * cfg.restore_eta:
+    restored = min(float(np.linalg.eigvalsh(E)[0]) for E in elements) < 10.0 * cfg.restore_eta
+    if restored:
         elements = [depolarize(E, cfg.restore_eta) for E in elements]
-        restored = True
 
+    # Constraint data A k = b, objective c.k and the strictly feasible start
+    # K[x][j] = M_x / n.
     st = _structure(d, m, n)
-    dd, nblocks = st.dd, st.nblocks
-    b = np.zeros(st.ncon)
-    for x in range(m):
-        b[st.group2_start + x * dd : st.group2_start + (x + 1) * dd] = st.coords(elements[x])
+    coords = np.stack([st.coords(E) for E in elements])
+    b = np.concatenate([np.zeros(st.group2_start), coords.ravel()])
     proj = state.projector()
-    proj_coords = st.coords(proj)
-    c = np.zeros((m, n, dd))
-    for j in range(min(m, n)):
-        c[j, j] = proj_coords
-    c = c.reshape(st.nvar)
+    c = np.zeros((m, n, st.dd))
+    diag = np.arange(min(m, n))
+    c[diag, diag] = st.coords(proj)
+    c = c.ravel()
+    k0 = np.repeat(coords[:, None] / n, n, axis=1).reshape(st.nblocks, st.dd)
 
-    # Strictly feasible start: K[x][j] = M_x / n.
-    k = np.zeros((m, n, dd))
-    for x in range(m):
-        k[x, :, :] = st.coords(elements[x]) / n
-    k = k.reshape(nblocks, dd)
-    k0 = k.copy()
+    k, cert, value, dual_value, iters = _barrier_path(st, povm, b, c, k0, proj, cfg)
 
-    nu_total = m * n * d
-    gap_target = cfg.tol
-    t_final = nu_total / (0.25 * gap_target)
-    t = cfg.barrier_mu0
-    iters = 0
-
-    cblocks = c.reshape(nblocks, dd)
-    svec_eye = st.coords(np.eye(d))
-
-    def newton_center(
-        t: float, k: np.ndarray, iters: int, newton_tol: float
-    ) -> tuple[np.ndarray, int, np.ndarray]:
-        """Center at barrier weight t.  Returns (k, iters, multipliers).
-
-        The Newton system is solved in the scaled space where the barrier
-        Hessian is the square of Phi^-1, Phi being conjugation by K^(1/2):
-        there the step is a plain least-squares solve, which stays accurate
-        even when K approaches the boundary along the central path.
-        """
-        nu = np.zeros(st.ncon)
-        for _ in range(_MAX_INNER):
-            Phi = _scaling(st, k)
-            # Scaled gradient: Phi g = -t Phi c - svec(identity).
-            gtil = -t * (Phi @ cblocks[:, :, None])[:, :, 0] - svec_eye[None, :]
-            gtil = gtil.reshape(st.nvar)
-            if st.structured:
-                nu, rtil = _structured_multipliers(st, Phi, gtil)
-            else:
-                nu, rtil = _least_squares_multipliers(_scaled_constraints(st, Phi), gtil)
-            delta = -(Phi @ rtil.reshape(nblocks, dd)[:, :, None])[:, :, 0]
-            lam2 = float(np.dot(rtil, rtil))
-            if lam2 / 2.0 <= newton_tol:
-                break
-            if lam2 <= 0.25:
-                # Quadratic-convergence region: take the full Newton step.
-                # (The Armijo decrease is far below the float resolution of
-                # the barrier value at large t, so testing it would stall.)
-                alpha = 1.0
-                while alpha > 1e-8 and _chol_logdet(st.mats(k + alpha * delta)) is None:
-                    alpha *= 0.5
-                if alpha <= 1e-8:
-                    break
-            else:
-                # Damped phase: positive definiteness then Armijo backtracking.
-                logdet0 = _chol_logdet(st.mats(k))
-                if logdet0 is None:
-                    raise SolverError(f"Newton iterate is not positive definite (t={t:.3e})")
-                phi0 = -t * float(np.dot(c, k.reshape(st.nvar))) - logdet0
-                slope = -lam2
-                alpha = 1.0
-                for _ in range(60):
-                    trial = k + alpha * delta
-                    logdet = _chol_logdet(st.mats(trial))
-                    if logdet is not None:
-                        phi = -t * float(np.dot(c, trial.reshape(st.nvar))) - logdet
-                        if phi <= phi0 + _ARMIJO * alpha * slope:
-                            break
-                    alpha *= 0.5
-                else:
-                    break  # no progress possible at this scale
-            k = k + alpha * delta
-            iters += 1
-            if iters > cfg.max_iters:
-                raise SolverError(
-                    f"interior-point iteration cap {cfg.max_iters} exceeded "
-                    f"(t={t:.3e}, newton decrement^2={lam2:.3e})"
-                )
-        return k, iters, nu
-
-    def extract_certificate(t: float, nu: np.ndarray) -> DualCertificate:
-        # At the central point, -t c - svec(K^-1) + A^T nu = 0; the equality
-        # multipliers nu give Y_x and (traceless) G_j after dividing by t.
-        G = [-np.einsum("t,tij->ij", nu[j * (dd - 1) : (j + 1) * (dd - 1)], st.T) / t
-             for j in range(n - 1)] + [np.zeros((d, d), dtype=complex)]
-        Y = [np.einsum("a,aij->ij", nu[st.group2_start + x * dd : st.group2_start + (x + 1) * dd],
-                       st.B) / t for x in range(m)]
-        return _shift_to_dual_feasible(Y, G, proj)
-
-    def round_primal(k: np.ndarray, cert: DualCertificate, value: float):
-        """Round the center onto the optimal face identified by the dual.
-
-        The optimal K[x][j] lives in the near-kernel of the dual slack
-        Z[x][j].  Alternating projections between the affine constraint
-        space and the blockwise rank-r PSD cone (r from the slack spectrum)
-        converge to that face; the result is accepted only if it verifies.
-        """
-        tau = max(np.sqrt(max(dual_value - value, 0.0)), 1e-9)
-        ranks = []
-        for x in range(m):
-            for j in range(n):
-                Z = cert.Y[x] - cert.G[j] - (proj if x == j else 0.0)
-                w = np.linalg.eigvalsh(Z)
-                ranks.append(d - int(np.sum(w < tau * max(1.0, w[-1]))))
-        kv = k
-        for _ in range(400):
-            Kb = st.mats(kv)
-            w, V = np.linalg.eigh(Kb)
-            for bidx, rank_cut in enumerate(ranks):
-                w[bidx, :rank_cut] = 0.0
-            w = np.maximum(w, 0.0)
-            Kb = (V * w[:, None, :]) @ V.conj().swapaxes(1, 2)
-            kv = st.coords_of_stack(Kb)
-            resid = max_abs(st.apply_A(kv) - b)
-            kv = st.project(kv, b)
-            if resid <= 1e-13:
-                break
-        feas = max_abs(st.apply_A(kv) - b)
-        min_eig = float(np.min(np.linalg.eigvalsh(st.mats(kv))))
-        value_new = float(np.dot(c, kv.reshape(st.nvar)))
-        if feas > 1e-11 or min_eig < -1e-11 or value_new < value:
-            return None
-        return kv, value_new
-
-    def round_dual(k: np.ndarray, cert: DualCertificate):
-        """Fit (Y, G) to exact complementarity against the rounded primal.
-
-        Solving Z[x][j] v = 0 for every populated eigenvector v of K[x][j]
-        in least squares lands on the dual optimum; feasibility is restored
-        with a uniform shift and the candidate kept only if it tightens the
-        certified bound.
-        """
-        ny = m * dd
-        ng = (n - 1) * (dd - 1)
-        rows = []
-        rhs = []
-        Kb = st.mats(k)
-        for x in range(m):
-            for j in range(n):
-                K = Kb[x * n + j]
-                w, V = np.linalg.eigh(K)
-                cols = V[:, w > max(w[-1], 0.0) * 1e-7 + 1e-12]
-                for idx in range(cols.shape[1]):
-                    v = cols[:, idx]
-                    Yv = np.einsum("aij,j->ai", st.B, v)          # (dd, d)
-                    Gv = np.einsum("tij,j->ti", st.T, v)          # (dd-1, d)
-                    row = np.zeros((d, ny + ng), dtype=complex)
-                    row[:, x * dd : (x + 1) * dd] = Yv.T
-                    if j < n - 1:
-                        row[:, ny + j * (dd - 1) : ny + (j + 1) * (dd - 1)] = -Gv.T
-                    rows.append(row)
-                    rhs.append((proj @ v) if x == j else np.zeros(d, dtype=complex))
-        Arow = np.concatenate([np.vstack([r.real, r.imag]) for r in rows])
-        brow = np.concatenate([np.concatenate([v.real, v.imag]) for v in rhs])
-        sol, *_ = np.linalg.lstsq(Arow, brow, rcond=None)
-        Y = [np.einsum("a,aij->ij", sol[x * dd : (x + 1) * dd], st.B) for x in range(m)]
-        G = [
-            np.einsum("t,tij->ij", sol[ny + j * (dd - 1) : ny + (j + 1) * (dd - 1)], st.T)
-            for j in range(n - 1)
-        ] + [np.zeros((d, d), dtype=complex)]
-        return _shift_to_dual_feasible(Y, G, proj, reject_below=-1e-6)
-
-    cert = None
-    value = dual_value = 0.0
-    for attempt in range(4):
-        while True:
-            final_stage = t >= t_final
-            tol_inner = _NEWTON_TOL if final_stage else _NEWTON_TOL_PATH
-            k, iters, nu = newton_center(t, k, iters, tol_inner)
-            if final_stage:
-                break
-            t = min(t * _MU_GROWTH, t_final)
-        # Re-project onto the affine constraint manifold (undo solve drift),
-        # then restore strict positivity if the projection grazed the
-        # boundary (mixing with the feasible start keeps A k = b exactly).
-        k_feas = st.project(k, b)
-        theta = 1e-9
-        inside = _chol_logdet(st.mats(k_feas)) is not None
-        while not inside and theta < 1e-2:
-            k_feas = (1.0 - theta) * k_feas + theta * k0
-            theta *= 10.0
-            inside = _chol_logdet(st.mats(k_feas)) is not None
-        cert = extract_certificate(t, nu)
-        value = float(np.dot(c, k_feas.reshape(st.nvar)))
-        dual_value = cert.dual_value(povm)
-        if dual_value - value <= gap_target:
-            break
-        t_final *= 5.0  # certified gap too large: push the barrier further
-        # The next stage starts from the repaired point, which clears the
-        # drift, unless it is still outside the PSD cone: then from the
-        # (positive definite) centre.
-        if inside:
-            k = k_feas
-    k = k_feas
-
+    # Polish: keep the fitted dual only if it tightens the certified bracket.
     if polish:
-        rounded = round_primal(k, cert, value)
+        rounded = _round_primal(st, b, c, k, value, dual_value - value, cert.slacks(proj))
         if rounded is not None:
             k, value = rounded
-            better = round_dual(k, cert)
+            better = _round_dual(st, k, proj)
             if better is not None:
                 dual_new = better.dual_value(povm)
                 if value - 1e-12 <= dual_new <= dual_value:
                     cert, dual_value = better, dual_new
+
+    # Verify the decomposition and gate on the certified gap.
     gap = dual_value - value
     decomposition = Decomposition(st.mats(k).reshape(m, n, d, d))
     report = verify_decomposition(decomposition, povm, tol=1e-8)
     feas = max(report.max_proportionality_violation, report.max_reconstruction_violation,
                report.max_psd_violation)
-    if gap > 20.0 * gap_target:
+    if gap > 20.0 * cfg.tol:
         raise SolverError(
-            f"certified duality gap {gap:.3e} above tolerance {gap_target:.1e} "
+            f"certified duality gap {gap:.3e} above tolerance {cfg.tol:.1e} "
             f"(feasibility residual {feas:.3e})"
         )
     return SolveResult(
@@ -685,33 +727,24 @@ def build_dual_certificate_noisy_projective(noise: NoiseModel) -> DualCertificat
     gamma = trsqrt / (d * np.sqrt(d)) * np.sqrt((d - 1) / eps) * (
         (np.sqrt(A) - np.sqrt(eps)) / (np.sqrt(A) + np.sqrt(eps))
     )
-    Y = []
-    T = []
-    for x in range(d):
-        psi_not_x = (psi - psi[x] * eye[x])
-        psi_not_x = psi_not_x / np.linalg.norm(psi_not_x)
-        inv_sqrt_Mx = np.sqrt(d / A) * np.outer(eye[x], eye[x]) + np.sqrt(d / eps) * (
-            eye - np.outer(eye[x], eye[x])
-        )
-        Tx = -gamma * (np.outer(eye[x], psi_not_x) + np.outer(psi_not_x, eye[x]))
-        T.append(Tx)
-        Y.append(trsqrt / d**2 * inv_sqrt_Mx + Tx)
-    G = []
     sqrt_eps_d = np.sqrt(eps / d)
     sqrtA_d = np.sqrt(A / d)
-    for j in range(d):
-        ej = eye[j]
-        psi_not_j = (psi - psi[j] * ej)
-        psi_not_j = psi_not_j / np.linalg.norm(psi_not_j)
-        one_not_j = eye - np.outer(ej, ej)
-        sqrt_Mj_psi = sqrt_eps_d * psi + (sqrtA_d - sqrt_eps_d) * psi[j] * ej
-        Gj = (
-            T[j]
+    Y, G = [], []
+    for x in range(d):
+        ex = eye[x]
+        one_not_x = eye - np.outer(ex, ex)
+        psi_not_x = (psi - psi[x] * ex)
+        psi_not_x = psi_not_x / np.linalg.norm(psi_not_x)
+        Tx = -gamma * (np.outer(ex, psi_not_x) + np.outer(psi_not_x, ex))
+        inv_sqrt_Mx = np.sqrt(d / A) * np.outer(ex, ex) + np.sqrt(d / eps) * one_not_x
+        Y.append(trsqrt / d**2 * inv_sqrt_Mx + Tx)
+        sqrt_Mx_psi = sqrt_eps_d * psi + (sqrtA_d - sqrt_eps_d) * psi[x] * ex
+        G.append(
+            Tx
             - (d - 1) / d * proj_psi
-            - alpha * (one_not_j - np.outer(psi_not_j, psi_not_j))
-            + beta * (eye - d * np.outer(sqrt_Mj_psi, sqrt_Mj_psi))
+            - alpha * (one_not_x - np.outer(psi_not_x, psi_not_x))
+            + beta * (eye - d * np.outer(sqrt_Mx_psi, sqrt_Mx_psi))
         )
-        G.append(Gj)
     return DualCertificate(tuple(Y), tuple(G))
 
 
@@ -725,37 +758,33 @@ def verify_dual_certificate(
     """Check tr G_j = 0 and PSD-ness of every slack Y_x - d_xj P_phi - G_j.
 
     A feasible certificate makes its dual value a valid upper bound on the
-    guessing probability at the given state.
+    guessing probability at the given state.  Slacks asymmetric beyond 1e-8
+    raise ``ValidationError``; the rest are checked on their Hermitian part.
     """
-    if any(Y.shape[0] != povm.dim for Y in cert.Y) or len(cert.Y) != povm.num_outcomes:
+    if (any(Y.shape[0] != povm.dim for Y in cert.Y) or len(cert.Y) != povm.num_outcomes
+            or state.dim != povm.dim):
         raise ValidationError("certificate shape does not match the POVM")
-    proj = state.projector()
+    Z = cert.slacks(state.projector())
+    ZH = Z.conj().swapaxes(-1, -2)
+    asym = float(np.max(np.abs(Z - ZH)))
+    if asym > 1e-8:
+        raise ValidationError(f"dual slack is not Hermitian: asymmetry {asym:.3e} > 1.0e-08")
+    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (Z + ZH))))
     max_trace = max(abs(float(np.real(np.trace(Gj)))) for Gj in cert.G)
-    min_eig = np.inf
-    for x, Yx in enumerate(cert.Y):
-        for j, Gj in enumerate(cert.G):
-            slack = Yx - Gj - (proj if x == j else 0.0)
-            w = np.linalg.eigvalsh(require_hermitian(slack, 1e-8))
-            min_eig = min(min_eig, float(w[0]))
     feasible = (min_eig >= -tol) and (max_trace <= trace_tol)
-    return DualCheck(cert.dual_value(povm), feasible, float(min_eig), float(max_trace))
+    return DualCheck(cert.dual_value(povm), feasible, min_eig, float(max_trace))
 
 
 def complementary_slackness_residual(
     decomp: Decomposition, cert: DualCertificate, state: PureState
 ) -> float:
     """max over (x, j) of the max-norm of K[x][j] (Y_x - d_xj P_phi - G_j)."""
-    if decomp.dim != cert.Y[0].shape[0] or decomp.num_outcomes != len(cert.Y):
+    if (decomp.dim != cert.Y[0].shape[0] or decomp.num_outcomes != len(cert.Y)
+            or decomp.num_subpovms != len(cert.G)):
         raise ValidationError("decomposition and certificate shapes differ")
     if state.dim != decomp.dim:
         raise ValidationError("state dimension mismatch")
-    proj = state.projector()
-    worst = 0.0
-    for x in range(decomp.num_outcomes):
-        for j in range(decomp.num_subpovms):
-            slack = cert.Y[x] - cert.G[j] - (proj if x == j else 0.0)
-            worst = max(worst, max_abs(decomp.K[x, j] @ slack))
-    return worst
+    return max_abs(decomp.K @ cert.slacks(state.projector()))
 
 
 # ---------------------------------------------------------------------------
@@ -775,12 +804,13 @@ class StateSearch:
     ties: tuple = field(default_factory=tuple)
 
 
-def _state_from_params(x: np.ndarray, d: int) -> PureState | None:
+def _state_from_params(x: np.ndarray, d: int) -> tuple[np.ndarray, PureState]:
+    """The unnormalized vector v = x[:d] + i x[d:] and its normalized state."""
     v = x[:d] + 1j * x[d:]
     norm = np.linalg.norm(v)
     if norm < 1e-8:
-        return None
-    return PureState(v / norm)
+        raise SolverError("state search reached the zero vector")
+    return v, PureState(v / norm)
 
 
 def _search_objective(x: np.ndarray, povm: Povm, config: SolverConfig) -> tuple[float, np.ndarray]:
@@ -791,12 +821,8 @@ def _search_objective(x: np.ndarray, povm: Povm, config: SolverConfig) -> tuple[
     the state, so by the envelope (Danskin) theorem its gradient with respect
     to v is 2 (S v - f v) / |v|^2 and costs nothing beyond the solve.
     """
-    d = povm.dim
-    st = _state_from_params(x, d)
-    if st is None:
-        raise SolverError("state search reached the zero vector")
-    res = solve_primal(PrimalProblem(povm, st), config, polish=False)
-    v = x[:d] + 1j * x[d:]
+    v, state = _state_from_params(x, povm.dim)
+    res = solve_primal(PrimalProblem(povm, state), config, polish=False)
     S = np.einsum("jjab->ab", res.decomposition.K)
     grad = 2.0 * (S @ v - res.value * v) / np.vdot(v, v).real
     return res.value, np.concatenate([grad.real, grad.imag])
@@ -827,17 +853,15 @@ def minimize_over_states(
     rng = np.random.default_rng(cfg.seed)
     search_cfg = replace(cfg, tol=max(cfg.tol, 1e-5))
 
-    starts: list[np.ndarray] = []
+    # States unbiased to the eigenbases of the first two elements, and the
+    # uniform state, each kept once.
     seen: list[np.ndarray] = []
-    for E in povm.elements[:2]:
-        w, V = np.linalg.eigh(E)
-        u = V.sum(axis=1) / np.sqrt(d)
+    for u in [np.linalg.eigh(E)[1].sum(axis=1) / np.sqrt(d) for E in povm.elements[:2]] + [
+        np.full(d, 1.0 / np.sqrt(d), dtype=complex)
+    ]:
         if not any(abs(abs(np.vdot(u, v)) - 1.0) < 1e-12 for v in seen):
             seen.append(u)
-            starts.append(np.concatenate([u.real, u.imag]))
-    u = np.full(d, 1.0 / np.sqrt(d), dtype=complex)
-    if not any(abs(abs(np.vdot(u, v)) - 1.0) < 1e-12 for v in seen):
-        starts.append(np.concatenate([u.real, np.zeros(d)]))
+    starts = [np.concatenate([u.real, u.imag]) for u in seen]
     for _ in range(cfg.multistarts):
         v = rng.normal(size=2 * d)
         starts.append(v / np.linalg.norm(v))
@@ -846,9 +870,9 @@ def minimize_over_states(
     for x0 in starts:
         try:
             res = scipy_minimize(_search_objective, x0, (povm, search_cfg), jac=True, method="BFGS")
+            results.append((float(res.fun), _state_from_params(res.x, d)[1]))
         except SolverError:
             continue
-        results.append((float(res.fun), _state_from_params(res.x, d)))
     if not results:
         raise SolverError("state search produced no valid candidate")
     results.sort(key=lambda item: item[0])

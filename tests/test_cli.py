@@ -170,7 +170,7 @@ class TestSweep:
 
     def test_entropies_spot_row(self, files, capsys):
         tmp, _ = files
-        code, out = run(capsys, ["sweep", "--entropies", "2", "--points", "21"])
+        code, out = run(capsys, ["entropies", "2", "--points", "21"])
         assert code == EXIT_OK
         lines = out.strip().splitlines()
         assert lines[0] == "epsilon,hmax_bound,vn_bound,state_vn_star,hmin_star"
@@ -179,11 +179,9 @@ class TestSweep:
         last = list(map(float, lines[-1].split(",")))
         assert all(abs(v) < 1e-9 for v in last[1:])
 
-    def test_entropies_subcommand_matches_sweep(self, files, capsys):
-        code1, out1 = run(capsys, ["sweep", "--entropies", "2", "--points", "11"])
-        code2, out2 = run(capsys, ["entropies", "2", "--points", "11"])
-        assert code1 == code2 == EXIT_OK
-        assert out1 == out2
+    def test_sweep_entropies_alias_removed(self, files, capsys):
+        code, _ = run(capsys, ["sweep", "--entropies", "2"])
+        assert code == EXIT_INPUT
 
     def test_entropies_value_at_015_grid(self, files, capsys):
         code, out = run(capsys, ["entropies", "2", "--points", "21"])
@@ -248,6 +246,46 @@ def test_qrand_tol_env(files, capsys, monkeypatch):
     code, out = run(capsys, ["certify", povm, state, "--analytic"])
     assert code == EXIT_OK
     assert json.loads(out)["tol"] == 1e-3
+
+
+# Bad numbers at the boundary: argv templates over the files written below,
+# and the value of QRAND_TOL (None: unset).
+BAD_NUMBERS = {
+    "tol-zero": (["compute", "{povm}", "--state", "{state}", "--tol", "0"], None),
+    "tol-negative": (["compute", "{povm}", "--state", "{state}", "--tol", "-1"], None),
+    "qrand-tol-not-a-number": (["certify", "{povm}", "{state}", "--analytic"], "abc"),
+    "grid-negative": (["sweep", "--fig3", "--points", "-1"], None),
+    "config-tol-string": (
+        ["compute", "{povm}", "--state", "{state}", "--solver-config", "{cfg_string}"], None),
+    "config-not-object": (
+        ["compute", "{povm}", "--state", "{state}", "--solver-config", "{cfg_list}"], None),
+    "config-tol-huge-int": (
+        ["compute", "{povm}", "--state", "{state}", "--solver-config", "{cfg_huge_tol}"], None),
+    "config-int-over-4300-digits": (
+        ["compute", "{povm}", "--state", "{state}", "--solver-config", "{cfg_long_int}"], None),
+}
+
+
+@pytest.mark.parametrize("argv, qrand_tol", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+def test_bad_numbers_exit_2_without_traceback(files, capsys, monkeypatch, argv, qrand_tol):
+    tmp, write = files
+    paths = {
+        "povm": write("povm.json", jsonio.povm_to_json(noisy_projective(2, 0.15))),
+        "state": write("state.json", jsonio.state_to_json(unbiased_state(2))),
+        "cfg_string": write("cfg_string.json", {"tol": "abc"}),
+        "cfg_list": write("cfg_list.json", [1, 2]),
+        "cfg_huge_tol": write("cfg_huge_tol.json", {"tol": 10**400}),
+        "cfg_long_int": str(tmp / "cfg_long_int.json"),
+    }
+    (tmp / "cfg_long_int.json").write_text('{"seed": 1' + "0" * 5000 + "}")
+    monkeypatch.delenv("QRAND_TOL", raising=False)
+    if qrand_tol is not None:
+        monkeypatch.setenv("QRAND_TOL", qrand_tol)
+    code = main([arg.format(**paths) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_deterministic_outputs(files, capsys):

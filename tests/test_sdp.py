@@ -21,7 +21,7 @@ from qmrand.sdp import (
     verify_dual_certificate,
 )
 
-from conftest import random_qubit_two_outcome, random_state_vector
+from conftest import random_hermitian, random_qubit_two_outcome, random_state_vector
 
 
 class TestSolvePrimal:
@@ -140,6 +140,36 @@ class TestNewtonSystem:
         proj = st.project(k, b).reshape(st.nvar)
         assert np.allclose(proj, ref, rtol=0, atol=1e-12)
         assert np.allclose(A @ proj, b, rtol=0, atol=1e-12)
+
+
+class TestDualMaps:
+    @pytest.mark.parametrize("d, m", [(3, 3), (5, 4)])
+    def test_dual_matches_constraint_layout(self, rng, d, m):
+        # one size on the dense path, one on the structured path
+        st = sdp._structure(d, m, m)
+        assert st.structured == (d == 5)
+        nu = rng.normal(size=st.ncon)
+        Y, G = st.dual(nu)
+        blocks = st.mats(st.apply_AT(nu))
+        for x in range(m):
+            for j in range(m):
+                assert np.allclose(blocks[x * m + j], Y[x] - G[j], rtol=0, atol=1e-12)
+        assert max(abs(np.trace(Gj)) for Gj in G) < 1e-12
+
+    @pytest.mark.parametrize("m, n, real", [(3, 2, False), (2, 3, False), (3, 3, False),
+                                            (3, 3, True)])
+    def test_slacks_match_formula(self, rng, m, n, real):
+        # real: real Y and G with a complex projector, as a hand-written certificate has them
+        d = 3
+        mats = [random_hermitian(rng, d) for _ in range(m + n)]
+        mats = [M.real for M in mats] if real else mats
+        cert = DualCertificate(tuple(mats[:m]), tuple(mats[m:]))
+        proj = PureState(random_state_vector(rng, d)).projector()
+        Z = cert.slacks(proj)
+        assert Z.shape == (m, n, d, d)
+        for x in range(m):
+            for j in range(n):
+                assert np.array_equal(Z[x, j], cert.Y[x] - cert.G[j] - (proj if x == j else 0.0))
 
 
 class TestAnalyticDualCertificate:
@@ -307,3 +337,22 @@ class TestSolverConfig:
     def test_json_keys(self):
         keys = set(SolverConfig().to_json_dict())
         assert keys == {"tol", "max_iters", "barrier_mu0", "restore_eta", "multistarts", "seed"}
+
+    @pytest.mark.parametrize("name, value", [
+        ("tol", 0), ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")), ("tol", "abc"),
+        ("max_iters", 0), ("max_iters", 2.5), ("barrier_mu0", 0.0), ("restore_eta", -1e-9),
+        ("multistarts", -1), ("multistarts", 2.0), ("seed", -1), ("seed", True),
+        ("tol", 10**400), ("barrier_mu0", -float("inf")),
+    ])
+    def test_rejects_bad_fields(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            SolverConfig(**{name: value})
+
+    def test_accepts_boundaries(self):
+        cfg = SolverConfig(tol=1, max_iters=1, restore_eta=0.0, multistarts=0, seed=0)
+        assert SolverConfig.from_json_dict(cfg.to_json_dict()) == cfg
+        assert SolverConfig(seed=10**400, max_iters=10**400).seed == 10**400
+
+    def test_from_json_rejects_non_object(self):
+        with pytest.raises(ValidationError, match="JSON object"):
+            SolverConfig.from_json_dict([1, 2])
