@@ -69,7 +69,7 @@ EXIT_SOLVER = 3
 
 def _verify_tol(args) -> float:
     """The validation tolerance: --tol, else QRAND_TOL, else 1e-9; checked like SolverConfig.tol."""
-    tol, env = args.tol, os.environ.get("QRAND_TOL")
+    tol, env = args.verify_tol, os.environ.get("QRAND_TOL")
     if tol is None:
         try:
             tol = float(env) if env else 1e-9
@@ -105,6 +105,7 @@ def _load_json(path: str) -> dict:
 
 
 def _solver_config(args) -> SolverConfig:
+    """--solver-config, else the defaults; the --tol of compute and coarse sets its tol."""
     if getattr(args, "solver_config", None):
         cfg = SolverConfig.from_json_dict(_load_json(args.solver_config))
     else:
@@ -387,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--analytic", action="store_true",
                    help="build the square-root decomposition and analytic dual internally")
     p.add_argument("--output", "-o", default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None, dest="verify_tol",
+                   help="validation tolerance (default QRAND_TOL, else 1e-9)")
     p.add_argument("--solver-config", default=None)
     p.set_defaults(func=cmd_certify)
 
@@ -415,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("joint-noise", help="shared-noise decomposition report")
     p.add_argument("epsilon", type=float)
     p.add_argument("--output", "-o", default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None, dest="verify_tol",
+                   help="validation tolerance (default QRAND_TOL, else 1e-9)")
     p.set_defaults(func=cmd_joint_noise)
 
     return parser

@@ -25,7 +25,6 @@ from .linalg import (
     ValidationError,
     matrix_sqrt,
     max_abs,
-    require_hermitian,
 )
 from .povm import (
     NoiseModel,
@@ -116,19 +115,15 @@ def verify_decomposition(decomp: Decomposition, povm: Povm, tol: float = 1e-9) -
     """Check PSD-ness, identity proportionality, and POVM reconstruction."""
     if decomp.dim != povm.dim or decomp.num_outcomes != povm.num_outcomes:
         raise ValidationError("decomposition shape does not match the POVM")
-    d = decomp.dim
-    psd = 0.0
-    for x in range(decomp.num_outcomes):
-        for j in range(decomp.num_subpovms):
-            w = np.linalg.eigvalsh(require_hermitian(decomp.K[x, j], tol=1e-8))
-            psd = max(psd, max(0.0, -float(w[0])))
-    prop = 0.0
-    for j in range(decomp.num_subpovms):
-        S = decomp.K[:, j].sum(axis=0)
-        prop = max(prop, max_abs(S - (np.real(np.trace(S)) / d) * np.eye(d)))
-    recon = 0.0
-    for x, Mx in enumerate(povm.elements):
-        recon = max(recon, max_abs(decomp.K[x].sum(axis=0) - Mx))
+    d, K = decomp.dim, decomp.K
+    KH = K.conj().swapaxes(-1, -2)
+    asym = max_abs(K - KH)
+    if asym > 1e-8:
+        raise ValidationError(f"matrix is not Hermitian: asymmetry {asym:.3e} > 1.0e-08")
+    psd = max(0.0, -float(np.min(np.linalg.eigvalsh(0.5 * (K + KH)), initial=0.0)))
+    S = K.sum(axis=0)
+    prop = max_abs(S - (np.real(np.trace(S, axis1=1, axis2=2)) / d)[:, None, None] * np.eye(d))
+    recon = max_abs(K.sum(axis=1) - np.stack(povm.elements))
     return DecompositionReport(psd, prop, recon, tol)
 
 

@@ -18,14 +18,16 @@ reported gap is certified rather than assumed.
 the start ``k0``; follow the barrier path (``_barrier_path``: centring by
 ``_newton_center``, affine repair, ``_extract_certificate``, and a further
 push while the certified gap is too large); polish (``_round_primal`` onto
-the optimal face, then ``_round_dual`` to exact complementarity); and verify
-the decomposition against the gap gate.  The dual slack
+the optimal face, then ``_round_dual`` to exact complementarity: the Newton
+step's multiplier solve, weighted by projectors onto the primal's range); and
+verify the decomposition against the gap gate.  The dual slack
 Y_x - G_j - d_xj P_phi is formed only by ``DualCertificate.slacks``, and
 multipliers become (Y, G) only through ``_Structure.dual``.
 
-The constraint rows touch block (x, j) only through the identity rows of
-outcome x and the traceless rows of sub-POVM j.  From m n d^2 = 400 real
-variables on (d = 5, m = 4 and up) the normal matrix is therefore assembled
+Both least-squares solves go through ``_multipliers``.  The constraint rows
+touch block (x, j) only through the identity rows of outcome x and the
+traceless rows of sub-POVM j.  From m n d^2 = 400 real variables on
+(d = 5, m = 4 and up) the normal matrix is therefore assembled
 blockwise and the outcome blocks are eliminated first, which leaves a Schur
 complement of size (n-1)(d^2-1) to factor (Fujisawa, Kojima and Nakata 1997;
 SDPT3).  Below that size Python call overhead dominates and the scaled
@@ -102,7 +104,10 @@ class SolverConfig:
     def from_json_dict(cls, data: dict) -> "SolverConfig":
         if not isinstance(data, dict):
             raise ValidationError("solver config must be a JSON object")
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
+        unknown = sorted(map(repr, set(data) - {f.name for f in fields(cls)}))
+        if unknown:
+            raise ValidationError(f"unknown solver config key(s): {', '.join(unknown)}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -331,25 +336,27 @@ def _chol_logdet(K: np.ndarray) -> float | None:
     return 2.0 * float(np.sum(np.log(diags)))
 
 
-def _scaling(st: _Structure, k: np.ndarray) -> np.ndarray:
-    """Phi: coords(X) -> coords(R X R) per block, R = K^(1/2), as (nblocks, dd, dd).
-
-    Each Phi_b is the real symmetric matrix Re(U^H (R kron R^T) U).
-    """
-    w, V = np.linalg.eigh(st.mats(k))
-    w = np.maximum(w, 1e-300)
-    R = (V * np.sqrt(w)[:, None, :]) @ V.conj().swapaxes(1, 2)
-    T = (R[:, :, None, :, None] * R.swapaxes(1, 2)[:, None, :, None, :]).reshape(
+def _sandwich(st: _Structure, L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """coords(X) -> coords(L X R) per block, as (nblocks, dd, dd): Re(U^H (L kron R^T) U)."""
+    T = (L[:, :, None, :, None] * R.swapaxes(1, 2)[:, None, :, None, :]).reshape(
         st.nblocks, st.dd, st.dd
     )
     return np.real(st.Ubig.conj().T @ T @ st.Ubig)
 
 
+def _scaling(st: _Structure, k: np.ndarray) -> np.ndarray:
+    """Phi: coords(X) -> coords(R X R) per block, R = K^(1/2), as (nblocks, dd, dd)."""
+    w, V = np.linalg.eigh(st.mats(k))
+    w = np.maximum(w, 1e-300)
+    R = (V * np.sqrt(w)[:, None, :]) @ V.conj().swapaxes(1, 2)
+    return _sandwich(st, R, R)
+
+
 def _least_squares_multipliers(Atil: np.ndarray, gtil: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve min_nu ||Atil^T nu + gtil|| and return (nu, residual).
 
-    Corrected seminormal equations (Cholesky plus one refinement sweep) with
-    a QR fallback when the Gram matrix loses definiteness near the boundary.
+    Corrected seminormal equations (Cholesky plus one refinement sweep), or the
+    minimum-norm solution when the Gram matrix is singular, as for the polish.
     """
     rhs = Atil @ gtil
     try:
@@ -358,8 +365,7 @@ def _least_squares_multipliers(Atil: np.ndarray, gtil: np.ndarray) -> tuple[np.n
         rtil = gtil + Atil.T @ nu
         nu = nu - cho_solve(fac, Atil @ rtil, check_finite=False)
     except np.linalg.LinAlgError:
-        Q, Rqr = np.linalg.qr(Atil.T)
-        nu = np.linalg.solve(Rqr, Q.T @ (-gtil))
+        nu = np.linalg.lstsq(Atil.T, -gtil, rcond=None)[0]
     rtil = gtil + Atil.T @ nu
     return nu, rtil
 
@@ -418,6 +424,13 @@ def _structured_multipliers(
     return nu, rtil
 
 
+def _multipliers(st: _Structure, Phi: np.ndarray, gtil: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min_nu ||Phi A^T nu + gtil|| as (nu, residual), blockwise when ``st.structured``."""
+    if st.structured:
+        return _structured_multipliers(st, Phi, gtil)
+    return _least_squares_multipliers(_scaled_constraints(st, Phi), gtil)
+
+
 def _shift_to_dual_feasible(
     cert: DualCertificate, proj: np.ndarray, reject_below: float = -np.inf
 ) -> DualCertificate | None:
@@ -456,10 +469,7 @@ def _newton_center(
         # Scaled gradient: Phi g = -t Phi c - svec(identity).
         gtil = -t * (Phi @ cblocks[:, :, None])[:, :, 0] - st.eye_coords[None, :]
         gtil = gtil.reshape(st.nvar)
-        if st.structured:
-            nu, rtil = _structured_multipliers(st, Phi, gtil)
-        else:
-            nu, rtil = _least_squares_multipliers(_scaled_constraints(st, Phi), gtil)
+        nu, rtil = _multipliers(st, Phi, gtil)
         delta = -(Phi @ rtil.reshape(nblocks, dd)[:, :, None])[:, :, 0]
         lam2 = float(np.dot(rtil, rtil))
         if lam2 / 2.0 <= newton_tol:
@@ -595,36 +605,25 @@ def _round_primal(
     return kv, value_new
 
 
-def _round_dual(st: _Structure, k: np.ndarray, proj: np.ndarray) -> DualCertificate | None:
+def _round_dual(
+    st: _Structure, c: np.ndarray, k: np.ndarray, proj: np.ndarray
+) -> DualCertificate | None:
     """Fit (Y, G) to exact complementarity against the rounded primal k.
 
-    Solving Z[x][j] v = 0 for every populated eigenvector v of K[x][j]
-    in least squares lands on the dual optimum; feasibility is restored
-    with a uniform shift, and None is returned when the fit is too far off.
+    Minimises sum ||Z[x][j] v||^2 over the populated eigenvectors v of K[x][j];
+    with Q the projector onto them that is ||Phi (A^T nu - c)||^2, Phi the root
+    of X -> (X Q + Q X)/2, so it is the Newton step's multiplier solve.  A
+    uniform shift restores feasibility; None when the fit is too far off.
     """
-    m, n, d, dd = st.m, st.n, st.d, st.dd
-    ny = m * dd
-    ng = (n - 1) * (dd - 1)
-    rows = []
-    rhs = []
-    Kb = st.mats(k)
-    for x in range(m):
-        for j in range(n):
-            w, V = np.linalg.eigh(Kb[x * n + j])
-            for v in V[:, w > max(w[-1], 0.0) * 1e-7 + 1e-12].T:
-                row = np.zeros((d, ny + ng), dtype=complex)
-                row[:, x * dd : (x + 1) * dd] = np.einsum("aij,j->ai", st.B, v).T
-                if j < n - 1:
-                    row[:, ny + j * (dd - 1) : ny + (j + 1) * (dd - 1)] = -np.einsum(
-                        "tij,j->ti", st.T, v).T
-                rows.append(row)
-                rhs.append((proj @ v) if x == j else np.zeros(d, dtype=complex))
-    Arow = np.concatenate([np.vstack([r.real, r.imag]) for r in rows])
-    brow = np.concatenate([np.concatenate([v.real, v.imag]) for v in rhs])
-    sol, *_ = np.linalg.lstsq(Arow, brow, rcond=None)
-    # sol holds the Y coordinates, then the G coordinates; in constraint-row
-    # layout the group-1 multipliers come first and carry -G.
-    Y, G = st.dual(np.concatenate([-sol[ny:], sol[:ny]]))
+    w, V = np.linalg.eigh(st.mats(k))
+    kept = w > np.maximum(w[:, -1:], 0.0) * 1e-7 + 1e-12
+    Q = (V * kept[:, None, :]) @ V.conj().swapaxes(1, 2)
+    # Phi X = (1 - sqrt 2) Q X Q + (Q X + X Q)/sqrt 2; coords keeps the Hermitian part,
+    # so the matrices of X -> Q X and X -> X Q agree.
+    Phi = (1.0 - np.sqrt(2.0)) * _sandwich(st, Q, Q) + np.sqrt(2.0) * _sandwich(
+        st, Q, np.broadcast_to(np.eye(st.d), Q.shape))
+    gtil = -(Phi @ c.reshape(st.nblocks, st.dd, 1)).reshape(st.nvar)
+    Y, G = st.dual(_multipliers(st, Phi, gtil)[0])
     return _shift_to_dual_feasible(DualCertificate(tuple(Y), tuple(G)), proj, reject_below=-1e-6)
 
 
@@ -673,7 +672,7 @@ def solve_primal(
         rounded = _round_primal(st, b, c, k, value, dual_value - value, cert.slacks(proj))
         if rounded is not None:
             k, value = rounded
-            better = _round_dual(st, k, proj)
+            better = _round_dual(st, c, k, proj)
             if better is not None:
                 dual_new = better.dual_value(povm)
                 if value - 1e-12 <= dual_new <= dual_value:

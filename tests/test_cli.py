@@ -151,6 +151,20 @@ class TestCertify:
         assert rep["passed"]
         assert rep["gap"] < 1e-5
 
+    def test_tol_is_only_the_validation_tolerance(self, files, capsys):
+        # --tol 1e-9 restates the default validation tolerance; the certificate
+        # solve keeps the solver's own tol (at tol 1e-9 it hits the iteration cap)
+        tmp, write = files
+        noise = NoiseModel(3, 0.2)
+        povm = write("povm.json", jsonio.povm_to_json(noise.povm()))
+        state = write("state.json", jsonio.state_to_json(unbiased_state(3)))
+        dec = sqrt_decomposition_qudit(noise, unbiased_state(3))
+        decfile = write("dec.json", jsonio.decomposition_to_json(dec))
+        code, out = run(capsys, ["certify", povm, state, decfile, "--tol", "1e-9"])
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["tol"] == 1e-9 and rep["passed"]
+
 
 class TestSweep:
     def test_fig3_plateau(self, files, capsys):
@@ -263,6 +277,8 @@ BAD_NUMBERS = {
         ["compute", "{povm}", "--state", "{state}", "--solver-config", "{cfg_huge_tol}"], None),
     "config-int-over-4300-digits": (
         ["compute", "{povm}", "--state", "{state}", "--solver-config", "{cfg_long_int}"], None),
+    "config-unknown-key": (
+        ["compute", "{povm}", "--state", "{state}", "--solver-config", "{cfg_unknown_key}"], None),
 }
 
 
@@ -275,6 +291,7 @@ def test_bad_numbers_exit_2_without_traceback(files, capsys, monkeypatch, argv, 
         "cfg_string": write("cfg_string.json", {"tol": "abc"}),
         "cfg_list": write("cfg_list.json", [1, 2]),
         "cfg_huge_tol": write("cfg_huge_tol.json", {"tol": 10**400}),
+        "cfg_unknown_key": write("cfg_unknown_key.json", {"tolerance": 1e-3}),
         "cfg_long_int": str(tmp / "cfg_long_int.json"),
     }
     (tmp / "cfg_long_int.json").write_text('{"seed": 1' + "0" * 5000 + "}")

@@ -172,6 +172,69 @@ class TestDualMaps:
                 assert np.array_equal(Z[x, j], cert.Y[x] - cert.G[j] - (proj if x == j else 0.0))
 
 
+def _rounded_primal(povm, state):
+    """(st, c, k, proj) at the primal that a polished solve returns."""
+    res = solve_primal(PrimalProblem(povm, state))
+    d, m = povm.dim, povm.num_outcomes
+    st = sdp._structure(d, m, m)
+    proj = state.projector()
+    c = np.zeros((m, m, st.dd))
+    c[range(m), range(m)] = st.coords(proj)
+    k = st.coords_of_stack(res.decomposition.K.reshape(st.nblocks, d, d))
+    return st, c.ravel(), k, proj
+
+
+def _reference_round_dual(st, k, proj):
+    """The polish fit built row by row: Z v = d_xj P v for each kept eigenvector v of K[x][j]."""
+    d, n, dd = st.d, st.n, st.dd
+    rows, rhs = [], []
+    for blk, Kb in enumerate(st.mats(k)):
+        x, j = divmod(blk, n)
+        w, V = np.linalg.eigh(Kb)
+        for v in V[:, w > max(w[-1], 0.0) * 1e-7 + 1e-12].T:
+            # Y_x v from the group-2 rows of outcome x; -G_j v from the group-1 rows of j.
+            row = np.zeros((d, st.ncon), dtype=complex)
+            row[:, st.group2_start + x * dd : st.group2_start + (x + 1) * dd] = (st.B @ v).T
+            if j < n - 1:
+                row[:, j * (dd - 1) : (j + 1) * (dd - 1)] = (st.T @ v).T
+            rows.append(row)
+            rhs.append(proj @ v if x == j else np.zeros(d))
+    A = np.concatenate([np.vstack([r.real, r.imag]) for r in rows])
+    b = np.concatenate([np.concatenate([v.real, v.imag]) for v in rhs])
+    Y, G = st.dual(np.linalg.lstsq(A, b, rcond=None)[0])
+    return sdp._shift_to_dual_feasible(DualCertificate(tuple(Y), tuple(G)), proj, reject_below=-1e-6)
+
+
+class TestDualPolish:
+    # dense d = 3, structured d = 6, and two rank-deficient polish systems at d = 2
+    # (restored eps = 0, and eps = 0.2)
+    @pytest.mark.parametrize("d, eps", [(3, 0.2), (6, 0.2), (2, 0.0), (2, 0.2)])
+    def test_round_dual_matches_row_reference(self, d, eps):
+        st, c, k, proj = _rounded_primal(noisy_projective(d, eps), unbiased_state(d))
+        assert st.structured == (d == 6)
+        cert = sdp._round_dual(st, c, k, proj)
+        ref = _reference_round_dual(st, k, proj)
+        assert cert is not None and ref is not None
+        # relative to the largest entry: the restored fit has entries near 1/sqrt(restore_eta)
+        got, want = np.stack(cert.Y + cert.G), np.stack(ref.Y + ref.G)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    def test_rank_deficient_multipliers_are_min_norm(self, monkeypatch, eps):
+        st, c, k, proj = _rounded_primal(noisy_projective(2, eps), unbiased_state(2))
+        calls = []
+        monkeypatch.setattr(sdp, "_multipliers",
+                            lambda st, Phi, g: calls.append((Phi, g)) or (np.zeros(st.ncon), g))
+        sdp._round_dual(st, c, k, proj)
+        [(Phi, gtil)] = calls
+        Atil = sdp._scaled_constraints(st, Phi)
+        assert np.linalg.matrix_rank(Atil) < st.ncon
+        nu, rtil = sdp._least_squares_multipliers(Atil, gtil)
+        ref = np.linalg.lstsq(Atil.T, -gtil, rcond=None)[0]
+        assert np.allclose(nu, ref, rtol=0, atol=1e-10)
+        assert np.allclose(rtil, gtil + Atil.T @ ref, rtol=0, atol=1e-10)
+
+
 class TestAnalyticDualCertificate:
     def test_qutrit_objective(self):
         noise = NoiseModel(3, 0.2)
@@ -356,3 +419,8 @@ class TestSolverConfig:
     def test_from_json_rejects_non_object(self):
         with pytest.raises(ValidationError, match="JSON object"):
             SolverConfig.from_json_dict([1, 2])
+
+    def test_from_json_rejects_unknown_keys(self):
+        with pytest.raises(ValidationError, match="'tolerance'"):
+            SolverConfig.from_json_dict({"tolerance": 1e-3, "seed": 1})
+        assert SolverConfig.from_json_dict({"multistarts": 2}) == SolverConfig(multistarts=2)
