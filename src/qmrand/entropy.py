@@ -72,12 +72,6 @@ class EveEnsemble:
     def average_state(self) -> np.ndarray:
         return sum(p * r for p, r in self.defined())
 
-    def is_commuting(self, tol: float = 1e-10) -> bool:
-        ops = [r for _, r in self.defined()]
-        return all(
-            max_abs(a @ b - b @ a) <= tol for i, a in enumerate(ops) for b in ops[i + 1 :]
-        )
-
 
 def eve_ensemble_from_decomposition(state: PureState, decomp: Decomposition) -> EveEnsemble:
     """Eve's conditional ensemble from the canonical dilation of a decomposition.
@@ -104,20 +98,35 @@ def eve_ensemble_from_decomposition(state: PureState, decomp: Decomposition) -> 
     return EveEnsemble(probs / total, tuple(states), tuple(undefined))
 
 
-def ensemble_guessing_probability(ens: EveEnsemble) -> float:
-    """Optimal probability of guessing x from the conditional state.
+def _classical_table(ens: EveEnsemble, tol: float = 1e-10) -> np.ndarray | None:
+    """Joint table P[x, i] = p(x) <v_i| rho_x |v_i>, or None if the rho_x do not commute.
 
-    Exact for mutually commuting conditional states (measure in the common
-    eigenbasis and pick the maximum-posterior outcome); the ensembles built
-    in this package are diagonal, hence always commuting.
+    {v_i} diagonalizes sum_x c_x p(x) rho_x with distinct c_x = 1 + frac(x phi),
+    which separates joint eigenspaces that a degenerate average would merge.
+    They count as commuting when every V^dag rho_x V is diagonal up to ``tol``.
     """
-    if not ens.is_commuting():
-        raise ValidationError("guessing probability implemented for commuting ensembles only")
     pairs = ens.defined()
     if not pairs:
         raise ValidationError("ensemble has no populated outcomes")
-    _, V = np.linalg.eigh(ens.average_state())
-    table = np.array([p * np.real(np.einsum("ia,ij,ja->a", V.conj(), r, V)) for p, r in pairs])
+    c = 1.0 + np.mod(np.arange(len(pairs)) * (np.sqrt(5.0) - 1.0) / 2.0, 1.0)
+    _, V = np.linalg.eigh(sum(ck * p * r for ck, (p, r) in zip(c, pairs)))
+    rotated = [V.conj().T @ r @ V for _, r in pairs]
+    if any(max_abs(R - np.diag(np.diag(R))) > tol for R in rotated):
+        return None
+    return np.array([p * np.maximum(np.diag(R).real, 0.0) for (p, _), R in zip(pairs, rotated)])
+
+
+def ensemble_guessing_probability(ens: EveEnsemble) -> float:
+    """Optimal probability of guessing x from the conditional state.
+
+    Exact for mutually commuting conditional states: measure in the common
+    eigenbasis and pick the maximum-posterior outcome, sum_i max_x P[x, i].
+    Every ensemble built from a decomposition is diagonal, hence commuting;
+    other input raises ``ValidationError``.
+    """
+    table = _classical_table(ens)
+    if table is None:
+        raise ValidationError("guessing probability implemented for commuting ensembles only")
     return float(np.sum(table.max(axis=0)))
 
 
@@ -145,11 +154,12 @@ class PSecrConfig:
 
 @dataclass(frozen=True)
 class PSecrResult:
-    """Two-sided bracket of the secrecy quantity behind the max-entropy.
+    """Bracket of the secrecy quantity behind the max-entropy (plain floats).
 
-    ``value`` is the best certified-achievable lower bound (an explicit
-    sigma attains it); ``upper`` comes from the positive-operator upper-bound
-    construction.  ``converged`` means the bracket closed within tolerance.
+    Exact for commuting ensembles: ``value == lower == upper`` and
+    ``converged``.  Otherwise ``value`` is an achievable lower bound (an
+    explicit sigma attains it), ``upper`` comes from the positive-operator
+    construction, and ``converged`` means the bracket closed within ``tol``.
     """
 
     value: float
@@ -182,35 +192,27 @@ def _project_to_density(H: np.ndarray) -> np.ndarray:
 def p_secr(ens: EveEnsemble, config: PSecrConfig | None = None) -> PSecrResult:
     """max over states sigma of (sum_x sqrt(p(x)) F(rho_x, sigma))^2.
 
-    Lower bound: projected gradient ascent from the maximally mixed state,
-    the ensemble average, the diagonal closed-form optimum (exact for
-    commuting ensembles), and seeded random restarts.  Upper bound: the
-    block-diagonal positive-operator construction
-    (sum_x tr sqrt(p_x rho_x)) lmax(sum_x sqrt(p_x rho_x)).  The result is
-    flagged unconverged when the bracket stays open.
+    Commuting ensembles (every one built from a decomposition) give exactly
+    sum_i (sum_x sqrt(P[x, i]))^2: dephasing sigma in the common eigenbasis
+    cannot lower a fidelity, and Cauchy-Schwarz does the rest.  Otherwise
+    (and only then does ``config`` apply) a projected gradient ascent from
+    the maximally mixed state, the average and seeded random restarts gives
+    the lower bound, and (sum_x tr sqrt(p_x rho_x)) lmax(sum_x sqrt(p_x rho_x))
+    the upper; the result is unconverged when that bracket stays open.
     """
+    table = _classical_table(ens)
+    if table is not None:
+        value = float(np.sum(np.sqrt(table).sum(axis=0) ** 2))
+        return PSecrResult(value=value, lower=value, upper=value, converged=True)
     cfg = config or PSecrConfig()
     pairs = ens.defined()
     d = ens.dim
-    rng = np.random.default_rng(cfg.seed)
-
     sqrt_weighted = [matrix_sqrt(p * r) for p, r in pairs]
-    total = sum(sqrt_weighted)
-    upper = float(sum(np.real(np.trace(S)) for S in sqrt_weighted)) * float(
-        np.linalg.eigvalsh(total)[-1]
-    )
-
+    traces = sum(np.real(np.trace(S)) for S in sqrt_weighted)
+    upper = float(traces * np.linalg.eigvalsh(sum(sqrt_weighted))[-1])
+    roots = [(np.sqrt(p), matrix_sqrt(r)) for p, r in pairs]
+    rng = np.random.default_rng(cfg.seed)
     candidates = [np.eye(d) / d, ens.average_state()]
-    if ens.is_commuting():
-        # Common-eigenbasis closed form: optimal sigma has weights w_i^2 with
-        # w_i = sum_x sqrt(p_x r_x(i)); exact because dephasing in the common
-        # basis cannot decrease any fidelity.
-        _, V = np.linalg.eigh(ens.average_state())
-        r = np.array([np.real(np.einsum("ia,ij,ja->a", V.conj(), rho, V)) for _, rho in pairs])
-        w = np.sqrt(np.maximum(r, 0.0) * np.array([[p] for p, _ in pairs])).sum(axis=0)
-        if w.sum() > 0:
-            weights = w**2 / np.sum(w**2)
-            candidates.append((V * weights) @ V.conj().T)
     for _ in range(cfg.restarts):
         G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         H = G @ G.conj().T
@@ -223,13 +225,10 @@ def p_secr(ens: EveEnsemble, config: PSecrConfig | None = None) -> PSecrResult:
         step = 0.2
         for _ in range(cfg.max_iters):
             grad = np.zeros((d, d), dtype=complex)
-            for p, r in pairs:
-                sr = matrix_sqrt(r)
-                inner = sr @ sigma @ sr
-                w, V = np.linalg.eigh(inner)
-                w = np.maximum(w, 1e-14)
-                inv_sqrt = (V / np.sqrt(w)) @ V.conj().T
-                grad += 0.5 * np.sqrt(p) * (sr @ inv_sqrt @ sr)
+            for sp, sr in roots:
+                w, V = np.linalg.eigh(sr @ sigma @ sr)
+                inv_sqrt = (V / np.sqrt(np.maximum(w, 1e-14))) @ V.conj().T
+                grad += 0.5 * sp * (sr @ inv_sqrt @ sr)
             trial = _project_to_density(sigma + step * grad)
             tval = _fidelity_sum(pairs, trial)
             if tval > val + 1e-15:
@@ -241,9 +240,8 @@ def p_secr(ens: EveEnsemble, config: PSecrConfig | None = None) -> PSecrResult:
                     break
         best = max(best, val**2)
 
-    lower = best
-    converged = upper - lower <= cfg.tol
-    return PSecrResult(value=lower, lower=lower, upper=upper, converged=converged)
+    lower = float(best)
+    return PSecrResult(value=lower, lower=lower, upper=upper, converged=upper - lower <= cfg.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +282,7 @@ class EntropyReport:
 def entropy_report(
     ens: EveEnsemble, noise: NoiseModel | None = None, config: PSecrConfig | None = None
 ) -> EntropyReport:
+    hmin = conditional_min_entropy(ens)  # raises on non-commuting input before the ascent
     secr = p_secr(ens, config)
     bounds = {}
     if noise is not None:
@@ -291,7 +290,7 @@ def entropy_report(
         bounds["vn_bound"] = vn_bound_noisy_projective(noise)
         bounds["hmax_bound"] = hmax_bound_noisy_projective(noise)
     return EntropyReport(
-        hmin=conditional_min_entropy(ens),
+        hmin=hmin,
         h_vn=conditional_vn_entropy(ens),
         hmax=secr.hmax_bits,
         p_secr=secr.value,

@@ -1,6 +1,12 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qmrand.entropy
 from qmrand.closed_form import pguess_star_noisy_projective
 from qmrand.decompositions import (
     sqrt_decomposition_qudit,
@@ -21,14 +27,45 @@ from qmrand.entropy import (
     state_side_comparison,
     vn_bound_noisy_projective,
 )
-from qmrand.linalg import binary_entropy, shannon_entropy, von_neumann_entropy
+from qmrand.linalg import (
+    ValidationError,
+    binary_entropy,
+    fidelity,
+    shannon_entropy,
+    von_neumann_entropy,
+)
 from qmrand.povm import NoiseModel, noisy_projective, unbiased_state
+
+from conftest import random_unitary
 
 
 def sqrt_ensemble(d, eps):
     noise = NoiseModel(d, eps)
     psi = unbiased_state(d)
     return eve_ensemble_from_decomposition(psi, sqrt_decomposition_qudit(noise, psi)), noise
+
+
+def plus_minus_ensemble():
+    # commuting states whose average I/2 is degenerate: its eigenbasis need
+    # not be the basis in which both states are diagonal
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    return EveEnsemble(
+        np.array([0.5, 0.5]),
+        (np.outer(plus, plus).astype(complex), np.outer(minus, minus).astype(complex)),
+    )
+
+
+def non_commuting_ensemble():
+    v = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    return EveEnsemble(
+        np.array([0.5, 0.5]),
+        (np.diag([1.0, 0.0]).astype(complex), np.outer(v, v).astype(complex)),
+    )
+
+
+def fidelity_objective(ens, sigma):
+    return sum(np.sqrt(p) * fidelity(r, sigma) for p, r in zip(ens.probs, ens.states)) ** 2
 
 
 class TestEnsembleConstruction:
@@ -86,6 +123,18 @@ class TestGuessingFromEnsemble:
             ens, noise = sqrt_ensemble(d, eps)
             ref = pguess_star_noisy_projective(noise).pguess
             assert abs(ensemble_guessing_probability(ens) - ref) < 1e-12
+
+    def test_degenerate_average_orthogonal_states(self):
+        ens = plus_minus_ensemble()
+        assert abs(ensemble_guessing_probability(ens) - 1.0) < 1e-12
+        res = p_secr(ens)
+        assert res.converged
+        assert res.value == res.lower == res.upper
+        assert abs(res.value - 1.0) < 1e-12
+
+    def test_non_commuting_raises(self):
+        with pytest.raises(ValidationError):
+            ensemble_guessing_probability(non_commuting_ensemble())
 
     def test_orthogonal_states_perfect(self):
         ens = EveEnsemble(
@@ -147,10 +196,56 @@ class TestPSecr:
     def test_single_state_ensemble(self):
         ens = EveEnsemble(np.array([1.0]), (np.diag([0.9, 0.1]).astype(complex),))
         res = p_secr(ens, PSecrConfig(restarts=2, max_iters=60))
-        assert abs(res.value - 1.0) < 1e-9
-        # the operator upper bound is loose here: the bracket stays open
-        assert not res.converged
-        assert res.upper > 1.0 + 1e-3
+        # a single state commutes with itself: the closed form is exact
+        assert res.converged
+        for bound in (res.value, res.lower, res.upper):
+            assert abs(bound - 1.0) < 1e-12
+
+    def test_sqrt_ensemble_exact_without_ascent(self, monkeypatch):
+        def no_ascent(*args, **kwargs):
+            raise AssertionError("the ascent ran on a commuting ensemble")
+
+        monkeypatch.setattr(qmrand.entropy, "matrix_sqrt", no_ascent)
+        monkeypatch.setattr(qmrand.entropy, "_project_to_density", no_ascent)
+        for d in (2, 3, 4, 5, 6):
+            for eps in (0.0, 0.05, 0.5, 0.95, 1.0):
+                ens, noise = sqrt_ensemble(d, eps)
+                res = p_secr(ens)
+                assert res.converged
+                assert res.value == res.lower == res.upper
+                assert abs(res.value - noise.A) < 1e-12
+
+    def test_result_is_json_serializable(self):
+        ens, _ = sqrt_ensemble(3, 0.2)
+        ascent = PSecrConfig(restarts=1, max_iters=20)
+        for res in (p_secr(ens), p_secr(non_commuting_ensemble(), ascent)):
+            assert type(res.converged) is bool
+            assert all(type(v) is float for v in (res.value, res.lower, res.upper))
+            assert json.loads(json.dumps(dataclasses.asdict(res)))["value"] == res.value
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 5), st.booleans())
+    def test_commuting_closed_form(self, seed, m, d, flat):
+        # draw the joint table P[x, i] = p_x r_x(i) and rotate it by a random
+        # unitary; a flat table (every column summing to 1/d) makes the
+        # average state I/d
+        rng = np.random.default_rng(seed)
+        table = rng.exponential(size=(m, d))
+        table /= d * table.sum(axis=0) if flat else table.sum()
+        U = random_unitary(rng, d)
+        probs = table.sum(axis=1)
+        states = tuple((U * (row / px)) @ U.conj().T for row, px in zip(table, probs))
+        ens = EveEnsemble(probs / probs.sum(), states)
+        res = p_secr(ens)
+        assert res.converged
+        assert res.value == res.lower == res.upper
+        G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        for sigma in (np.eye(d) / d, ens.average_state(), G @ G.conj().T / np.sum(np.abs(G) ** 2)):
+            assert res.value >= fidelity_objective(ens, sigma) - 1e-12
+        w2 = np.sqrt(table).sum(axis=0) ** 2
+        optimum = (U * (w2 / w2.sum())) @ U.conj().T
+        assert abs(fidelity_objective(ens, optimum) - res.value) < 1e-9
+        assert abs(ensemble_guessing_probability(ens) - table.max(axis=0).sum()) < 1e-12
 
     def test_qubit_hmax(self):
         ens, noise = sqrt_ensemble(2, 0.15)
@@ -161,17 +256,10 @@ class TestPSecr:
 
     def test_ascent_from_random_start_climbs(self):
         # non-commuting pair: exercises the projected gradient path
-        v = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        ens = EveEnsemble(
-            np.array([0.5, 0.5]),
-            (np.diag([1.0, 0.0]).astype(complex), np.outer(v, v).astype(complex)),
-        )
+        ens = non_commuting_ensemble()
         res = p_secr(ens, PSecrConfig(restarts=4, max_iters=200))
         # the ascent must at least match the value at sigma = average state
-        from qmrand.linalg import fidelity
-
-        avg = ens.average_state()
-        base = 0.5 * (fidelity(ens.states[0], avg) + fidelity(ens.states[1], avg)) ** 2
+        base = fidelity_objective(ens, ens.average_state())
         assert res.value >= base - 1e-9
         assert res.value <= res.upper + 1e-12
 
@@ -222,6 +310,14 @@ class TestEntropyReportOrdering:
             assert rep.hmin <= rep.h_vn + 1e-9
             assert rep.h_vn <= rep.hmax + 1e-9
             assert abs(rep.bounds["hmax_bound"] - rep.hmax) < 1e-6
+
+    def test_non_commuting_fails_before_the_ascent(self, monkeypatch):
+        def no_ascent(*args, **kwargs):
+            raise AssertionError("p_secr ran before the commutation check")
+
+        monkeypatch.setattr(qmrand.entropy, "p_secr", no_ascent)
+        with pytest.raises(ValidationError):
+            entropy_report(non_commuting_ensemble())
 
     def test_curve_point_keys(self):
         row = entropy_curve_point(NoiseModel(2, 0.15))
