@@ -40,7 +40,7 @@ from .decompositions import (
     verify_decomposition,
 )
 from .entropy import entropy_curve_point
-from .linalg import DomainError, SolverError, ValidationError
+from .linalg import DomainError, SolverError, ValidationError, min_entropy_bits
 from .noise_comparison import single_noise_curve, sweep_curves
 from .povm import (
     NoiseModel,
@@ -162,7 +162,7 @@ def cmd_compute(args) -> int:
         search = minimize_over_states(povm, cfg)
         report["minimized"] = {
             "pguess": search.value,
-            "hmin_bits": float(-np.log2(search.value)),
+            "hmin_bits": min_entropy_bits(search.value),
             "method": "sdp",
             "state": jsonio.state_to_json(search.state),
             "converged": search.converged,
@@ -172,7 +172,7 @@ def cmd_compute(args) -> int:
         res = solve_primal(PrimalProblem(povm, state), cfg)
         report["sdp_at_state"] = {
             "pguess": res.value,
-            "hmin_bits": float(-np.log2(res.value)),
+            "hmin_bits": min_entropy_bits(res.value),
             "dual_value": res.dual_value,
             "gap": res.gap,
             "feasibility_residual": res.feasibility_residual,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ValidationError, eig_hermitian, matrix_sqrt
+from .linalg import ValidationError, eig_hermitian, matrix_sqrt, min_entropy_bits
 from .povm import NoiseModel, Povm, PureState
 
 METHOD_THEOREM1 = "theorem1"
@@ -48,7 +48,7 @@ def _report(pguess: float, method: str, state: PureState | None, relabeled: bool
     pguess = float(min(pguess, 1.0))
     return GuessReport(
         pguess=pguess,
-        hmin_bits=float(-np.log2(pguess)),
+        hmin_bits=min_entropy_bits(pguess),
         method=method,
         optimal_state=state,
         relabeled=relabeled,

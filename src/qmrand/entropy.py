@@ -15,12 +15,12 @@ import numpy as np
 
 from .decompositions import Decomposition
 from .linalg import (
-    DomainError,
     ValidationError,
     binary_entropy,
-    fidelity,
+    fidelity_from_root,
     matrix_sqrt,
     max_abs,
+    min_entropy_bits,
     require_hermitian,
     shannon_entropy,
     von_neumann_entropy,
@@ -131,7 +131,7 @@ def ensemble_guessing_probability(ens: EveEnsemble) -> float:
 
 
 def conditional_min_entropy(ens: EveEnsemble) -> float:
-    return float(-np.log2(ensemble_guessing_probability(ens)))
+    return min_entropy_bits(ensemble_guessing_probability(ens))
 
 
 def conditional_vn_entropy(ens: EveEnsemble) -> float:
@@ -172,8 +172,10 @@ class PSecrResult:
         return float(np.log2(self.value))
 
 
-def _fidelity_sum(ens_pairs, sigma: np.ndarray) -> float:
-    return sum(np.sqrt(p) * fidelity(r, sigma) for p, r in ens_pairs)
+def _fidelity_sum(roots, sigma: np.ndarray) -> float:
+    """sum_x sqrt(p_x) F(rho_x, sigma) from the pairs (sqrt(p_x), sqrt(rho_x))."""
+    sigma = require_hermitian(sigma, tol=1e-10)
+    return sum(sp * fidelity_from_root(sr, sigma) for sp, sr in roots)
 
 
 def _project_to_density(H: np.ndarray) -> np.ndarray:
@@ -221,7 +223,7 @@ def p_secr(ens: EveEnsemble, config: PSecrConfig | None = None) -> PSecrResult:
     best = 0.0
     for sigma0 in candidates:
         sigma = sigma0.copy()
-        val = _fidelity_sum(pairs, sigma)
+        val = _fidelity_sum(roots, sigma)
         step = 0.2
         for _ in range(cfg.max_iters):
             grad = np.zeros((d, d), dtype=complex)
@@ -230,7 +232,7 @@ def p_secr(ens: EveEnsemble, config: PSecrConfig | None = None) -> PSecrResult:
                 inv_sqrt = (V / np.sqrt(np.maximum(w, 1e-14))) @ V.conj().T
                 grad += 0.5 * sp * (sr @ inv_sqrt @ sr)
             trial = _project_to_density(sigma + step * grad)
-            tval = _fidelity_sum(pairs, trial)
+            tval = _fidelity_sum(roots, trial)
             if tval > val + 1e-15:
                 sigma, val = trial, tval
                 step = min(step * 1.3, 2.0)
@@ -252,9 +254,9 @@ def p_secr(ens: EveEnsemble, config: PSecrConfig | None = None) -> PSecrResult:
 def vn_bound_noisy_projective(noise: NoiseModel) -> float:
     """H2(P*) + (1 - P*) log2(d - 1): the square-root dilation's H(X|E)."""
     d = noise.d
-    pstar = noise.trace_sqrt_element() ** 2 / d
+    pstar = min(noise.trace_sqrt_element() ** 2 / d, 1.0)
     extra = (1.0 - pstar) * np.log2(d - 1) if d > 2 else 0.0
-    return float(binary_entropy(min(pstar, 1.0)) + extra)
+    return float(binary_entropy(pstar) + extra)
 
 
 def hmax_bound_noisy_projective(noise: NoiseModel) -> float:
@@ -310,9 +312,9 @@ def state_side_comparison(noise: NoiseModel) -> dict:
     lmax = float(np.linalg.eigvalsh(rho)[-1])
     pstar = noise.trace_sqrt_element() ** 2 / d
     return {
-        "hmin_star": float(-np.log2(pstar)),
-        "state_vn_star": float(np.log2(d) - von_neumann_entropy(rho)),
-        "state_hmax_star": float(np.log2(d) + np.log2(lmax)),
+        "hmin_star": min_entropy_bits(pstar),
+        "state_vn_star": max(0.0, float(np.log2(d) - von_neumann_entropy(rho))),
+        "state_hmax_star": max(0.0, float(np.log2(d) + np.log2(lmax))),
     }
 
 

@@ -134,8 +134,16 @@ def fidelity(rho, sigma, clamp: float = EIG_CLAMP) -> float:
     for op in (rho, sigma):
         if np.real(np.trace(op)) > 1.0 + 1e-9:
             raise DomainError("fidelity expects subnormalized states (trace <= 1)")
-    sr = matrix_sqrt(rho, clamp)
-    inner = sr @ sigma @ sr
+    return fidelity_from_root(matrix_sqrt(rho, clamp), sigma, clamp)
+
+
+def fidelity_from_root(sqrt_rho: np.ndarray, sigma: np.ndarray, clamp: float = EIG_CLAMP) -> float:
+    """``fidelity(rho, sigma)`` from a precomputed ``sqrt_rho = matrix_sqrt(rho)``.
+
+    ``sigma`` must already be Hermitian (``require_hermitian``); callers that
+    hold rho fixed across many sigma take its square root once.
+    """
+    inner = sqrt_rho @ sigma @ sqrt_rho
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     if w[0] < -clamp:
         raise DomainError(f"fidelity inner operator not PSD: min eigenvalue {w[0]:.3e}")
@@ -164,6 +172,11 @@ def binary_entropy(x: float) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return float(-(x * np.log(x) + (1.0 - x) * np.log(1.0 - x)) / LOG2)
+
+
+def min_entropy_bits(pguess: float) -> float:
+    """-log2(pguess) in bits, exactly 0.0 (never -0 or negative) for pguess >= 1."""
+    return 0.0 if pguess >= 1.0 else float(-np.log2(pguess))
 
 
 def shannon_entropy(p) -> float:

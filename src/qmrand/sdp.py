@@ -33,6 +33,10 @@ complement of size (n-1)(d^2-1) to factor (Fujisawa, Kojima and Nakata 1997;
 SDPT3).  Below that size Python call overhead dominates and the scaled
 constraint matrix is formed densely.  The affine projection onto the
 constraints uses the closed form of A A^T.
+
+scipy is imported inside the three functions that use it (the two multiplier
+solves and the state search), so that the closed-form and entropy paths,
+which never solve an SDP, do not pay its import time on every process.
 """
 
 from __future__ import annotations
@@ -43,8 +47,6 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.optimize import minimize as scipy_minimize
 
 from .decompositions import Decomposition, verify_decomposition
 from .linalg import (
@@ -358,6 +360,8 @@ def _least_squares_multipliers(Atil: np.ndarray, gtil: np.ndarray) -> tuple[np.n
     Corrected seminormal equations (Cholesky plus one refinement sweep), or the
     minimum-norm solution when the Gram matrix is singular, as for the polish.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     rhs = Atil @ gtil
     try:
         fac = cho_factor(Atil @ Atil.T, lower=True, check_finite=False)
@@ -388,6 +392,8 @@ def _structured_multipliers(
     W_x = L_x^-1 [H_xj tau^T]_j to factor.  Falls back to the dense solve
     when a factor loses definiteness.
     """
+    from scipy.linalg import cho_factor, cho_solve, solve_triangular
+
     m, n, dd, n1 = st.m, st.n, st.dd, st.group2_start
     tau = st.tau
     H = (Phi @ Phi).reshape(m, n, dd, dd)
@@ -845,6 +851,8 @@ def minimize_over_states(
     is re-solved at full precision at the best state; the result is flagged
     not converged when only a single start reached it.
     """
+    from scipy.optimize import minimize
+
     cfg = config or SolverConfig()
     d = povm.dim
     if d > 4:
@@ -868,7 +876,7 @@ def minimize_over_states(
     results = []
     for x0 in starts:
         try:
-            res = scipy_minimize(_search_objective, x0, (povm, search_cfg), jac=True, method="BFGS")
+            res = minimize(_search_objective, x0, (povm, search_cfg), jac=True, method="BFGS")
             results.append((float(res.fun), _state_from_params(res.x, d)[1]))
         except SolverError:
             continue

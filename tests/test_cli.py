@@ -48,6 +48,14 @@ class TestCompute:
         assert abs(rep["pguess"] - 1.0) < 1e-9
         assert abs(rep["hmin_bits"]) < 1e-9
 
+    def test_trivial_povm_min_entropy_is_plus_zero(self, files, capsys):
+        tmp, write = files
+        povm = write("povm.json", jsonio.povm_to_json(Povm((np.eye(2) / 2, np.eye(2) / 2))))
+        code, out = run(capsys, ["compute", povm])
+        assert code == EXIT_OK
+        assert '"hmin_bits": 0.0,' in out
+        assert "-0.0" not in out
+
     def test_minimize_state_qutrit(self, files, capsys):
         tmp, write = files
         povm = write("povm.json", jsonio.povm_to_json(noisy_projective(3, 0.2)))
@@ -192,6 +200,14 @@ class TestSweep:
         assert abs(row["epsilon"] - 0.15) < 1e-12
         last = list(map(float, lines[-1].split(",")))
         assert all(abs(v) < 1e-9 for v in last[1:])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 9, 12, 16])
+    def test_entropies_full_noise_row_non_negative(self, files, capsys, d):
+        code, out = run(capsys, ["entropies", str(d), "--points", "3"])
+        assert code == EXIT_OK
+        last = out.strip().splitlines()[-1].split(",")
+        assert last[0] == "1"
+        assert not any(field.startswith("-") for field in last), last
 
     def test_sweep_entropies_alias_removed(self, files, capsys):
         code, _ = run(capsys, ["sweep", "--entropies", "2"])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmrand.entropy
+import qmrand.linalg
 from qmrand.closed_form import pguess_star_noisy_projective
 from qmrand.decompositions import (
     sqrt_decomposition_qudit,
@@ -263,6 +265,23 @@ class TestPSecr:
         assert res.value >= base - 1e-9
         assert res.value <= res.upper + 1e-12
 
+    def test_ascent_takes_each_square_root_once(self, monkeypatch):
+        # rho_x never changes during the ascent, so neither may its square root:
+        # one for the upper bound and one for the fidelities, per state
+        calls = []
+        real = qmrand.linalg.matrix_sqrt
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(qmrand.linalg, "matrix_sqrt", counted)
+        monkeypatch.setattr(qmrand.entropy, "matrix_sqrt", counted)
+        ens = non_commuting_ensemble()
+        res = p_secr(ens, PSecrConfig(restarts=2, max_iters=80))
+        assert res.value > 0.0
+        assert len(calls) <= 2 * len(ens.states)
+
 
 class TestHmaxBound:
     def test_endpoints(self):
@@ -293,6 +312,17 @@ class TestStateSide:
         row = state_side_comparison(NoiseModel(3, 1.0))
         for v in row.values():
             assert abs(v) < 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 9, 12, 16])
+    def test_full_noise_curve_never_negative_or_minus_zero(self, d):
+        noise = NoiseModel(d, 1.0)
+        for name, v in {**entropy_curve_point(noise), **state_side_comparison(noise)}.items():
+            assert v >= 0.0 and math.copysign(1.0, v) == 1.0, (name, v)
+
+    def test_perfect_guess_min_entropy_is_plus_zero(self):
+        ens = EveEnsemble(np.array([1.0]), (np.diag([1.0, 0.0]).astype(complex),))
+        h = conditional_min_entropy(ens)
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
     def test_vn_bound_dominates_state_value(self):
         for d in (2, 3, 5):

@@ -1,0 +1,74 @@
+"""scipy is loaded only by the SDP solves and the state search.
+
+The closed forms and the entropy chain never solve an SDP, so a process that
+only runs them must not pay scipy's import time.  Each case runs in a fresh
+interpreter, because the test process itself has long since imported scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from qmrand import jsonio
+from qmrand.povm import Povm, noisy_projective
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_REPORT = """
+import json, sys
+print(json.dumps({name: name in sys.modules for name in ("scipy.linalg", "scipy.optimize")}))
+"""
+
+
+def loaded_after(code: str) -> dict:
+    """Which of scipy.linalg and scipy.optimize a fresh interpreter holds after ``code``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code + _REPORT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_cli(argv) -> str:
+    """Code that runs ``qmrand.cli.main(argv)`` with its output swallowed."""
+    return (
+        "import contextlib, io\n"
+        "from qmrand import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+    )
+
+
+NO_SCIPY = {"scipy.linalg": False, "scipy.optimize": False}
+
+
+def test_import_loads_no_scipy():
+    assert loaded_after("import qmrand, qmrand.cli\n") == NO_SCIPY
+
+
+def test_entropies_load_no_scipy():
+    assert loaded_after(run_cli(["entropies", "3", "--points", "5"])) == NO_SCIPY
+
+
+def test_closed_form_compute_loads_no_scipy(tmp_path):
+    for name, povm in [("np.json", noisy_projective(3, 0.2)),
+                       ("qubit.json", Povm((np.diag([0.9, 0.2]), np.diag([0.1, 0.8]))))]:
+        path = tmp_path / name
+        path.write_text(json.dumps(jsonio.povm_to_json(povm)))
+        assert loaded_after(run_cli(["compute", str(path)])) == NO_SCIPY
+
+
+def test_fixed_state_solve_loads_only_scipy_linalg():
+    code = (
+        "from qmrand.povm import noisy_projective, unbiased_state\n"
+        "from qmrand.sdp import PrimalProblem, solve_primal\n"
+        "solve_primal(PrimalProblem(noisy_projective(2, 0.3), unbiased_state(2)))\n"
+    )
+    assert loaded_after(code) == {"scipy.linalg": True, "scipy.optimize": False}
