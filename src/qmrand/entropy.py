@@ -9,6 +9,8 @@ the noisy projective measurement, and the state-side comparison quantities.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +19,6 @@ from .decompositions import Decomposition
 from .linalg import (
     ValidationError,
     binary_entropy,
-    fidelity_from_root,
     matrix_sqrt,
     max_abs,
     min_entropy_bits,
@@ -146,10 +147,26 @@ def conditional_vn_entropy(ens: EveEnsemble) -> float:
 
 @dataclass(frozen=True)
 class PSecrConfig:
+    """Stopping rule of the non-commuting ``p_secr`` ascent.
+
+    The ascent stops once its bracket is at most ``tol`` wide, or after
+    ``max_iters`` steps; ``tol`` must be a finite float > 0 and ``max_iters``
+    an int >= 1, else ``ValidationError``.  ``restarts`` and ``seed`` do
+    nothing (the ascent starts once, from I/d) and are accepted only so that
+    existing callers still construct.
+    """
+
     tol: float = 1e-6
     restarts: int = 8
-    max_iters: int = 400
+    max_iters: int = 2000
     seed: int = 11
+
+    def __post_init__(self):
+        tol, iters = self.tol, self.max_iters
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol <= sys.float_info.max:
+            raise ValidationError(f"tol must be a finite float > 0, got {tol!r}")
+        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
+            raise ValidationError(f"max_iters must be a finite int >= 1, got {iters!r}")
 
 
 @dataclass(frozen=True)
@@ -157,9 +174,9 @@ class PSecrResult:
     """Bracket of the secrecy quantity behind the max-entropy (plain floats).
 
     Exact for commuting ensembles: ``value == lower == upper`` and
-    ``converged``.  Otherwise ``value`` is an achievable lower bound (an
-    explicit sigma attains it), ``upper`` comes from the positive-operator
-    construction, and ``converged`` means the bracket closed within ``tol``.
+    ``converged``.  Otherwise ``value == lower`` is attained by an explicit
+    sigma, ``upper`` is the least Alberti dual bound of the sigmas visited,
+    and ``converged`` means the bracket closed within ``tol``.
     """
 
     value: float
@@ -172,23 +189,28 @@ class PSecrResult:
         return float(np.log2(self.value))
 
 
-def _fidelity_sum(roots, sigma: np.ndarray) -> float:
-    """sum_x sqrt(p_x) F(rho_x, sigma) from the pairs (sqrt(p_x), sqrt(rho_x))."""
-    sigma = require_hermitian(sigma, tol=1e-10)
-    return sum(sp * fidelity_from_root(sr, sigma) for sp, sr in roots)
+def _fidelity_sum_and_dual(roots, sigma: np.ndarray):
+    """(f, f_eps, G) at sigma from the pairs (sqrt(p_x), sqrt(rho_x)), one eigh per state.
 
-
-def _project_to_density(H: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a Hermitian matrix onto density matrices."""
-    w, V = np.linalg.eigh(H)
-    # project eigenvalues onto the probability simplex
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(u) + 1)
-    rho_idx = np.nonzero(u - css / idx > 0)[0][-1]
-    theta = css[rho_idx] / (rho_idx + 1.0)
-    w = np.maximum(w - theta, 0.0)
-    return (V * w) @ V.conj().T
+    With M_x = sqrt(rho_x) sigma sqrt(rho_x): f = sum_x sqrt(p_x) tr M_x^1/2
+    (the eigenvalue cutoff of ``linalg.fidelity``), f_eps = sum_x sqrt(p_x)
+    tr (M_x + eps)^1/2 and G = sum_x sqrt(p_x) sqrt(rho_x) (M_x + eps)^-1/2
+    sqrt(rho_x), twice the gradient of f.  For every density sigma and eps > 0,
+    f_eps lmax(G) bounds p_secr from above: Alberti's F(rho, s)^2 <= tr(rho Y)
+    tr(s Y^-1) at Y_x = rho_x^-1/2 (M_x + eps)^1/2 rho_x^-1/2 on supp rho_x
+    (and arbitrarily large on its kernel), summed over x and maximized over s.
+    """
+    eps = 1e-16
+    f = f_eps = 0.0
+    G = np.zeros_like(sigma)
+    for sp, sr in roots:
+        w, V = np.linalg.eigh(sr @ sigma @ sr)
+        w = np.maximum(w, 0.0)
+        f += sp * np.sum(np.sqrt(np.where(w > w[-1] * 1e-14, w, 0.0)))
+        f_eps += sp * np.sum(np.sqrt(w + eps))
+        W = sr @ V
+        G += sp * (W / np.sqrt(w + eps)) @ W.conj().T
+    return f, f_eps, G
 
 
 def p_secr(ens: EveEnsemble, config: PSecrConfig | None = None) -> PSecrResult:
@@ -197,52 +219,31 @@ def p_secr(ens: EveEnsemble, config: PSecrConfig | None = None) -> PSecrResult:
     Commuting ensembles (every one built from a decomposition) give exactly
     sum_i (sum_x sqrt(P[x, i]))^2: dephasing sigma in the common eigenbasis
     cannot lower a fidelity, and Cauchy-Schwarz does the rest.  Otherwise
-    (and only then does ``config`` apply) a projected gradient ascent from
-    the maximally mixed state, the average and seeded random restarts gives
-    the lower bound, and (sum_x tr sqrt(p_x rho_x)) lmax(sum_x sqrt(p_x rho_x))
-    the upper; the result is unconverged when that bracket stays open.
+    (and only then does ``config`` apply) one ascent from I/d raises the lower
+    bound f(sigma)^2.  In sigma = B B^dag with ||B||_F = 1, f = sum_x sqrt(p_x)
+    ||sqrt(rho_x) B||_1 is convex and homogeneous in B with gradient G B, so
+    the gradient step projected onto the sphere, B <- G B / ||G B||_F, i.e.
+    sigma <- G sigma G / tr, never lowers f (up to rounding) and needs no
+    step size.  Every sigma visited gives the upper bound f_eps lmax(G) of
+    ``_fidelity_sum_and_dual``; the ascent stops once the best bracket is
+    within ``tol`` (``converged``) or after ``max_iters`` steps.
     """
     table = _classical_table(ens)
     if table is not None:
         value = float(np.sum(np.sqrt(table).sum(axis=0) ** 2))
         return PSecrResult(value=value, lower=value, upper=value, converged=True)
     cfg = config or PSecrConfig()
-    pairs = ens.defined()
-    d = ens.dim
-    sqrt_weighted = [matrix_sqrt(p * r) for p, r in pairs]
-    traces = sum(np.real(np.trace(S)) for S in sqrt_weighted)
-    upper = float(traces * np.linalg.eigvalsh(sum(sqrt_weighted))[-1])
-    roots = [(np.sqrt(p), matrix_sqrt(r)) for p, r in pairs]
-    rng = np.random.default_rng(cfg.seed)
-    candidates = [np.eye(d) / d, ens.average_state()]
-    for _ in range(cfg.restarts):
-        G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        H = G @ G.conj().T
-        candidates.append(H / np.real(np.trace(H)))
-
-    best = 0.0
-    for sigma0 in candidates:
-        sigma = sigma0.copy()
-        val = _fidelity_sum(roots, sigma)
-        step = 0.2
-        for _ in range(cfg.max_iters):
-            grad = np.zeros((d, d), dtype=complex)
-            for sp, sr in roots:
-                w, V = np.linalg.eigh(sr @ sigma @ sr)
-                inv_sqrt = (V / np.sqrt(np.maximum(w, 1e-14))) @ V.conj().T
-                grad += 0.5 * sp * (sr @ inv_sqrt @ sr)
-            trial = _project_to_density(sigma + step * grad)
-            tval = _fidelity_sum(roots, trial)
-            if tval > val + 1e-15:
-                sigma, val = trial, tval
-                step = min(step * 1.3, 2.0)
-            else:
-                step *= 0.5
-                if step < 1e-9:
-                    break
-        best = max(best, val**2)
-
-    lower = float(best)
+    roots = [(np.sqrt(p), matrix_sqrt(r)) for p, r in ens.defined()]
+    sigma = np.eye(ens.dim, dtype=complex) / ens.dim
+    best, upper = 0.0, np.inf
+    for _ in range(cfg.max_iters + 1):
+        f, f_eps, G = _fidelity_sum_and_dual(roots, sigma)
+        best, upper = max(best, f), min(upper, f_eps * np.linalg.eigvalsh(G)[-1])
+        if upper - best**2 <= cfg.tol:
+            break
+        sigma = G @ sigma @ G
+        sigma /= np.trace(sigma).real
+    lower, upper = float(best**2), float(upper)
     return PSecrResult(value=lower, lower=lower, upper=upper, converged=upper - lower <= cfg.tol)
 
 
@@ -305,15 +306,17 @@ def state_side_comparison(noise: NoiseModel) -> dict:
 
     The optimal min-entropies of the noisy state and the noisy measurement
     coincide; the von Neumann and max-entropy counterparts are
-    log2 d - S(rho_psi) and log2 d + log2 lmax(rho_psi).
+    log2 d - S(rho_psi) and log2 d + log2 lmax(rho_psi).  The depolarized
+    unbiased state rho_psi has eigenvalues lmax = 1 - eps + eps/d once and
+    eps/d with multiplicity d - 1, so S(rho_psi) = H2(lmax) + (1 - lmax) log2(d - 1).
     """
     d = noise.d
-    rho = noise.noisy_state()
-    lmax = float(np.linalg.eigvalsh(rho)[-1])
+    lmax = 1.0 - noise.epsilon + noise.epsilon / d
+    s_rho = binary_entropy(lmax) + (1.0 - lmax) * np.log2(d - 1)
     pstar = noise.trace_sqrt_element() ** 2 / d
     return {
         "hmin_star": min_entropy_bits(pstar),
-        "state_vn_star": max(0.0, float(np.log2(d) - von_neumann_entropy(rho))),
+        "state_vn_star": max(0.0, float(np.log2(d) - s_rho)),
         "state_hmax_star": max(0.0, float(np.log2(d) + np.log2(lmax))),
     }
 

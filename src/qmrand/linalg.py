@@ -134,16 +134,8 @@ def fidelity(rho, sigma, clamp: float = EIG_CLAMP) -> float:
     for op in (rho, sigma):
         if np.real(np.trace(op)) > 1.0 + 1e-9:
             raise DomainError("fidelity expects subnormalized states (trace <= 1)")
-    return fidelity_from_root(matrix_sqrt(rho, clamp), sigma, clamp)
-
-
-def fidelity_from_root(sqrt_rho: np.ndarray, sigma: np.ndarray, clamp: float = EIG_CLAMP) -> float:
-    """``fidelity(rho, sigma)`` from a precomputed ``sqrt_rho = matrix_sqrt(rho)``.
-
-    ``sigma`` must already be Hermitian (``require_hermitian``); callers that
-    hold rho fixed across many sigma take its square root once.
-    """
-    inner = sqrt_rho @ sigma @ sqrt_rho
+    sr = matrix_sqrt(rho, clamp)
+    inner = sr @ sigma @ sr
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     if w[0] < -clamp:
         raise DomainError(f"fidelity inner operator not PSD: min eigenvalue {w[0]:.3e}")

@@ -120,10 +120,6 @@ class NoiseModel:
         d = self.d
         return (np.sqrt(self.A) + (d - 1) * np.sqrt(self.epsilon)) / np.sqrt(d)
 
-    def noisy_state(self) -> np.ndarray:
-        """The analogous noisy pure state: depolarized unbiased state."""
-        return depolarize(unbiased_state(self.d).projector(), self.epsilon)
-
 
 def depolarize(op, epsilon: float) -> np.ndarray:
     """Depolarizing channel (1 - eps) op + (eps / d) tr(op) 1."""

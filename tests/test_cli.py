@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -224,6 +225,43 @@ class TestSweep:
     def test_grid_cap(self, files, capsys):
         code, _ = run(capsys, ["sweep", "--fig3", "--points", "20000"])
         assert code == EXIT_INPUT
+
+    def test_entropies_large_d_closed_forms(self, files, capsys):
+        # no d x d matrix is built, so d = 100000 costs what d = 2 does
+        d = 100000
+        code, out = run(capsys, ["entropies", str(d), "--points", "3"])
+        assert code == EXIT_OK
+        rows = [list(map(float, ln.split(","))) for ln in out.strip().splitlines()[1:]]
+        assert [row[0] for row in rows] == [0.0, 0.5, 1.0]
+
+        def h2(x):
+            return -(x * math.log2(x) + (1 - x) * math.log2(1 - x)) if 0 < x < 1 else 0.0
+
+        for eps, hmax_b, vn_b, state_vn, hmin_star in rows:
+            A = d - eps * (d - 1)
+            pstar = min(1.0, (math.sqrt(A) + (d - 1) * math.sqrt(eps)) ** 2 / d**2)
+            lmax = 1 - eps + eps / d
+            expected = (
+                math.log2(A),
+                h2(pstar) + (1 - pstar) * math.log2(d - 1),
+                math.log2(d) - h2(lmax) - (1 - lmax) * math.log2(d - 1),
+                -math.log2(pstar),
+            )
+            for got, want in zip((hmax_b, vn_b, state_vn, hmin_star), expected):
+                assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (eps, got, want)
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "existing_dir"])
+def test_unwritable_output_exit_2_without_traceback(files, capsys, target):
+    tmp, _ = files
+    (tmp / "existing_dir").mkdir()
+    out_path = tmp / target
+    code = main(["entropies", "2", "--points", "3", "--output", str(out_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(out_path.parent.glob("*.tmp")) and not list(tmp.glob("*.tmp"))
 
 
 class TestCoarse:

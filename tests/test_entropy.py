@@ -70,6 +70,34 @@ def fidelity_objective(ens, sigma):
     return sum(np.sqrt(p) * fidelity(r, sigma) for p, r in zip(ens.probs, ens.states)) ** 2
 
 
+def random_density(rng, d):
+    G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return G @ G.conj().T / np.sum(np.abs(G) ** 2)
+
+
+def random_ensemble(rng, d, ranks):
+    """p ~ Dirichlet(1), rho_x = A A^dag / tr with A a d x r_x complex Ginibre matrix."""
+    probs = rng.dirichlet(np.ones(len(ranks)))
+    states = []
+    for r in ranks:
+        A = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+        states.append(A @ A.conj().T / np.sum(np.abs(A) ** 2))
+    return EveEnsemble(probs, tuple(states))
+
+
+# (d, m, rank of every state) of the random non-commuting regression
+# ensembles, drawn in this order from one stream: full rank first, then
+# rank-deficient ones
+RANDOM_SHAPES = [(2, 2, 2), (2, 3, 2), (3, 2, 3), (3, 3, 3), (4, 3, 4), (6, 4, 6),
+                 (3, 3, 1), (4, 3, 2), (4, 4, 1), (2, 3, 1), (5, 3, 2)]
+
+
+def regression_ensembles():
+    rng = np.random.default_rng(3)
+    drawn = [random_ensemble(rng, d, [r] * m) for d, m, r in RANDOM_SHAPES]
+    return drawn + [non_commuting_ensemble()]
+
+
 class TestEnsembleConstruction:
     def test_diagonal_entries(self):
         ens, noise = sqrt_ensemble(3, 0.2)
@@ -208,7 +236,7 @@ class TestPSecr:
             raise AssertionError("the ascent ran on a commuting ensemble")
 
         monkeypatch.setattr(qmrand.entropy, "matrix_sqrt", no_ascent)
-        monkeypatch.setattr(qmrand.entropy, "_project_to_density", no_ascent)
+        monkeypatch.setattr(qmrand.entropy, "_fidelity_sum_and_dual", no_ascent)
         for d in (2, 3, 4, 5, 6):
             for eps in (0.0, 0.05, 0.5, 0.95, 1.0):
                 ens, noise = sqrt_ensemble(d, eps)
@@ -241,8 +269,7 @@ class TestPSecr:
         res = p_secr(ens)
         assert res.converged
         assert res.value == res.lower == res.upper
-        G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        for sigma in (np.eye(d) / d, ens.average_state(), G @ G.conj().T / np.sum(np.abs(G) ** 2)):
+        for sigma in (np.eye(d) / d, ens.average_state(), random_density(rng, d)):
             assert res.value >= fidelity_objective(ens, sigma) - 1e-12
         w2 = np.sqrt(table).sum(axis=0) ** 2
         optimum = (U * (w2 / w2.sum())) @ U.conj().T
@@ -257,7 +284,7 @@ class TestPSecr:
         assert abs(res.hmax_bits - 0.887525) < 1e-6
 
     def test_ascent_from_random_start_climbs(self):
-        # non-commuting pair: exercises the projected gradient path
+        # non-commuting pair: exercises the ascent
         ens = non_commuting_ensemble()
         res = p_secr(ens, PSecrConfig(restarts=4, max_iters=200))
         # the ascent must at least match the value at sigma = average state
@@ -266,8 +293,8 @@ class TestPSecr:
         assert res.value <= res.upper + 1e-12
 
     def test_ascent_takes_each_square_root_once(self, monkeypatch):
-        # rho_x never changes during the ascent, so neither may its square root:
-        # one for the upper bound and one for the fidelities, per state
+        # rho_x never changes during the ascent, so neither may its square
+        # root: one per state serves the fidelities, the gradient and the bound
         calls = []
         real = qmrand.linalg.matrix_sqrt
 
@@ -280,7 +307,77 @@ class TestPSecr:
         ens = non_commuting_ensemble()
         res = p_secr(ens, PSecrConfig(restarts=2, max_iters=80))
         assert res.value > 0.0
-        assert len(calls) <= 2 * len(ens.states)
+        assert len(calls) == len(ens.states)
+
+
+class TestNonCommutingPSecr:
+    @pytest.mark.parametrize("index", range(len(RANDOM_SHAPES) + 1))
+    def test_bracket_closes_on_regression_ensembles(self, index):
+        ens = regression_ensembles()[index]
+        res = p_secr(ens)
+        assert res.converged
+        assert res.upper - res.lower <= 1e-6
+        d = ens.dim
+        rng = np.random.default_rng(index)
+        sigmas = [np.eye(d) / d, ens.average_state()] + [random_density(rng, d) for _ in range(3)]
+        for sigma in sigmas:
+            assert res.lower >= fidelity_objective(ens, sigma) - 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 4),
+        st.lists(st.integers(1, 4), min_size=2, max_size=4),
+    )
+    def test_bracket_closes_and_holds(self, seed, d, ranks):
+        rng = np.random.default_rng(seed)
+        ens = random_ensemble(rng, d, [min(r, d) for r in ranks])
+        res = p_secr(ens)
+        assert res.converged
+        assert res.upper >= res.lower >= fidelity_objective(ens, random_density(rng, d)) - 1e-12
+
+    @pytest.mark.parametrize("index", [0, 1, 9, 11])  # the qubit ensembles
+    def test_bloch_grid_never_exceeds_upper(self, index):
+        ens = regression_ensembles()[index]
+        res = p_secr(ens)
+        paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+        best = 0.0
+        for r in np.linspace(0.0, 1.0, 9):
+            for theta in np.linspace(0.0, np.pi, 13):
+                for phi in np.linspace(0.0, 2 * np.pi, 24, endpoint=False):
+                    n = r * np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+                    sigma = 0.5 * (np.eye(2) + sum(c * P for c, P in zip(n, paulis)))
+                    best = max(best, fidelity_objective(ens, sigma))
+        assert best <= res.upper
+        assert best >= res.lower - 1e-2  # the grid is fine enough to mean something
+
+    def test_early_stop_keeps_a_valid_bracket(self):
+        ens = regression_ensembles()[5]
+        full = p_secr(ens)
+        capped, loose = p_secr(ens, PSecrConfig(max_iters=1)), p_secr(ens, PSecrConfig(tol=0.1))
+        assert not capped.converged
+        assert loose.converged and loose.upper - loose.lower <= 0.1
+        for res in (capped, loose):
+            # a stopped run is a prefix of the full one, so its bracket
+            # contains the full bracket and with it the optimum
+            assert res.lower <= full.lower and res.upper >= full.upper
+
+
+class TestPSecrConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("tol", 0.0), ("tol", -1e-6), ("tol", float("nan")), ("tol", float("inf")),
+        ("tol", True), ("tol", "1e-6"), ("tol", None),
+        ("max_iters", 0), ("max_iters", -3), ("max_iters", 2.5), ("max_iters", 10.0),
+        ("max_iters", True), ("max_iters", "10"), ("max_iters", None),
+    ])
+    def test_invalid_field_raises(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            PSecrConfig(**{field: value})
+
+    def test_valid_fields_construct(self):
+        assert PSecrConfig(tol=np.float64(1e-3), max_iters=np.int64(5)).max_iters == 5
+        # restarts and seed steer nothing but are still accepted
+        assert PSecrConfig(restarts=2, max_iters=80, seed=0).restarts == 2
 
 
 class TestHmaxBound:
