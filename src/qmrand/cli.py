@@ -165,6 +165,8 @@ def cmd_compute(args) -> int:
         report["minimized"] = {
             "pguess": search.value,
             "hmin_bits": min_entropy_bits(search.value),
+            "dual_value": search.solve.dual_value,
+            "gap": search.solve.gap,
             "method": "sdp",
             "state": jsonio.state_to_json(search.state),
             "converged": search.converged,

@@ -16,23 +16,25 @@ reported gap is certified rather than assumed.
 ``solve_primal`` runs as named stages: restore a rank-deficient POVM with
 ``restore_eta`` of white noise; build the constraint data ``b``, ``c`` and
 the start ``k0``; follow the barrier path (``_barrier_path``: centring by
-``_newton_center``, affine repair, ``_extract_certificate``, and a further
-push while the certified gap is too large); polish (``_round_primal`` onto
-the optimal face, then ``_round_dual`` to exact complementarity: the Newton
-step's multiplier solve, weighted by projectors onto the primal's range); and
-verify the decomposition against the gap gate.  The dual slack
-Y_x - G_j - d_xj P_phi is formed only by ``DualCertificate.slacks``, and
-multipliers become (Y, G) only through ``_Structure.dual``.
+``_newton_center`` up to the final barrier weight, one least-norm step back
+onto A k = b in the barrier's metric, and ``_extract_certificate``); polish
+(``_round_primal`` onto the optimal face, then ``_round_dual`` to exact
+complementarity: the Newton step's multiplier solve, weighted by projectors
+onto the primal's range); and verify the decomposition to 1e-8 and the gap.
+The dual slack Y_x - G_j - d_xj P_phi is formed only by
+``DualCertificate.slacks``, and multipliers become (Y, G) only through
+``_Structure.dual``.
 
-Both least-squares solves go through ``_multipliers``.  The constraint rows
-touch block (x, j) only through the identity rows of outcome x and the
-traceless rows of sub-POVM j.  From m n d^2 = 400 real variables on
-(d = 5, m = 4 and up) the normal matrix is therefore assembled
-blockwise and the outcome blocks are eliminated first, which leaves a Schur
-complement of size (n-1)(d^2-1) to factor (Fujisawa, Kojima and Nakata 1997;
-SDPT3).  Below that size Python call overhead dominates and the scaled
-constraint matrix is formed densely.  The affine projection onto the
-constraints uses the closed form of A A^T.
+The Newton step, the drift correction and the dual polish all solve for
+multipliers through ``_multipliers``.  The constraint rows touch block (x, j)
+only through the identity rows of outcome x and the traceless rows of
+sub-POVM j.  From m n d^2 = 400 real variables on (d = 5, m = 4 and up) the
+normal matrix is therefore assembled blockwise and the outcome blocks are
+eliminated first, which leaves a Schur complement of size (n-1)(d^2-1) to
+factor (Fujisawa, Kojima and Nakata 1997; SDPT3).  Below that size Python
+call overhead dominates and the scaled constraint matrix is formed densely.
+The Euclidean projection onto the constraints (in ``_round_primal``) uses the
+closed form of A A^T.
 
 scipy is imported inside the three functions that use it (the two multiplier
 solves and the state search), so that the closed-form and entropy paths,
@@ -354,22 +356,27 @@ def _scaling(st: _Structure, k: np.ndarray) -> np.ndarray:
     return _sandwich(st, R, R)
 
 
-def _least_squares_multipliers(Atil: np.ndarray, gtil: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _least_squares_multipliers(Atil: np.ndarray, gtil: np.ndarray,
+                               r: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Solve min_nu ||Atil^T nu + gtil|| and return (nu, residual).
 
-    Corrected seminormal equations (Cholesky plus one refinement sweep), or the
-    minimum-norm solution when the Gram matrix is singular, as for the polish.
+    With a primal residual ``r``, rtil = gtil + Atil^T nu also meets
+    Atil rtil = -r, so the step -Phi rtil adds r to A k.  Corrected seminormal
+    equations (Cholesky plus one refinement sweep), or the minimum-norm
+    solution when the Gram matrix is singular, as for the polish.
     """
     from scipy.linalg import cho_factor, cho_solve
 
-    rhs = Atil @ gtil
+    rhs = Atil @ gtil + r
     try:
         fac = cho_factor(Atil @ Atil.T, lower=True, check_finite=False)
         nu = cho_solve(fac, -rhs, check_finite=False)
         rtil = gtil + Atil.T @ nu
-        nu = nu - cho_solve(fac, Atil @ rtil, check_finite=False)
+        nu = nu - cho_solve(fac, Atil @ rtil + r, check_finite=False)
     except np.linalg.LinAlgError:
-        nu = np.linalg.lstsq(Atil.T, -gtil, rcond=None)[0]
+        # The least-norm z with Atil z = r is the part of -rtil that meets r.
+        z = np.linalg.lstsq(Atil, r, rcond=None)[0] if np.any(r) else 0.0
+        nu = np.linalg.lstsq(Atil.T, -(gtil + z), rcond=None)[0]
     rtil = gtil + Atil.T @ nu
     return nu, rtil
 
@@ -379,10 +386,9 @@ def _scaled_constraints(st: _Structure, Phi: np.ndarray) -> np.ndarray:
     return np.matmul(st.A3.transpose(1, 0, 2), Phi).transpose(1, 0, 2).reshape(st.ncon, st.nvar)
 
 
-def _structured_multipliers(
-    st: _Structure, Phi: np.ndarray, gtil: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_least_squares_multipliers(A Phi, gtil)`` without forming A Phi.
+def _structured_multipliers(st: _Structure, Phi: np.ndarray, gtil: np.ndarray,
+                            r: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """``_least_squares_multipliers(A Phi, gtil, r)`` without forming A Phi.
 
     The normal matrix A H A^T, H = blockdiag(Phi_b^2), has the outcome blocks
     D_x = sum_j H_xj on its group-2 diagonal, tau C_j tau^T (C_j = sum_x H_xj)
@@ -409,7 +415,7 @@ def _structured_multipliers(
             S[j * (dd - 1) : (j + 1) * (dd - 1), j * (dd - 1) : (j + 1) * (dd - 1)] += P[j]
         fac = cho_factor(S, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
-        return _least_squares_multipliers(_scaled_constraints(st, Phi), gtil)
+        return _least_squares_multipliers(_scaled_constraints(st, Phi), gtil, r)
 
     def solve_normal(r: np.ndarray) -> np.ndarray:
         y = np.stack([solve_triangular(L[x], r[n1 + x * dd : n1 + (x + 1) * dd], lower=True,
@@ -423,18 +429,22 @@ def _structured_multipliers(
     def phi_apply(v: np.ndarray) -> np.ndarray:
         return (Phi @ v.reshape(st.nblocks, dd, 1)).reshape(st.nvar)
 
-    nu = solve_normal(-st.apply_A(phi_apply(gtil)))
+    nu = solve_normal(-(st.apply_A(phi_apply(gtil)) + r))
     rtil = gtil + phi_apply(st.apply_AT(nu))
-    nu = nu - solve_normal(st.apply_A(phi_apply(rtil)))
+    nu = nu - solve_normal(st.apply_A(phi_apply(rtil)) + r)
     rtil = gtil + phi_apply(st.apply_AT(nu))
     return nu, rtil
 
 
-def _multipliers(st: _Structure, Phi: np.ndarray, gtil: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """min_nu ||Phi A^T nu + gtil|| as (nu, residual), blockwise when ``st.structured``."""
+def _multipliers(st: _Structure, Phi: np.ndarray, gtil: np.ndarray,
+                 r: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """min_nu ||Phi A^T nu + gtil|| as (nu, residual), blockwise when ``st.structured``.
+
+    With gtil = 0, -Phi rtil is the step s with A s = r of least norm ||Phi^-1 s||.
+    """
     if st.structured:
-        return _structured_multipliers(st, Phi, gtil)
-    return _least_squares_multipliers(_scaled_constraints(st, Phi), gtil)
+        return _structured_multipliers(st, Phi, gtil, r)
+    return _least_squares_multipliers(_scaled_constraints(st, Phi), gtil, r)
 
 
 def _shift_to_dual_feasible(
@@ -535,45 +545,30 @@ def _barrier_path(
     st: _Structure, povm: Povm, b: np.ndarray, c: np.ndarray, k0: np.ndarray,
     proj: np.ndarray, cfg: SolverConfig,
 ) -> tuple[np.ndarray, DualCertificate, float, float, int]:
-    """Follow the central path from k0 until the certified gap is at most cfg.tol.
+    """Follow the central path from k0 to t_final, then correct the drift off A k = b.
 
-    Each attempt grows t geometrically up to t_final, re-projects the last
-    centre onto A k = b and extracts a certificate; while the certified gap
-    is too large, t_final grows fivefold (four attempts in all).  Returns
-    (k, cert, value, dual_value, iterations).
+    t grows geometrically until t_final, where the gap bound m n d / t is a
+    quarter of cfg.tol.  Rounding in the Newton steps leaves the last centre
+    slightly off A k = b; the correction is the least-norm step s onto it in
+    the metric of the barrier Hessian (``_multipliers`` with gtil = 0).  It
+    keeps K positive definite while ||Phi^-1 s|| < 1 (the Dikin ellipsoid),
+    where a Euclidean projection need not.  Returns (k, cert, value,
+    dual_value, iterations).
     """
     t_final = st.m * st.n * st.d / (0.25 * cfg.tol)
     t, k, iters = cfg.barrier_mu0, k0, 0
-    for _ in range(4):
-        while True:
-            final_stage = t >= t_final
-            tol_inner = _NEWTON_TOL if final_stage else _NEWTON_TOL_PATH
-            k, iters, nu = _newton_center(st, c, t, k, iters, tol_inner, cfg.max_iters)
-            if final_stage:
-                break
-            t = min(t * _MU_GROWTH, t_final)
-        # Re-project onto the affine constraint manifold (undo solve drift),
-        # then restore strict positivity if the projection grazed the
-        # boundary (mixing with the feasible start keeps A k = b exactly).
-        k_feas = st.project(k, b)
-        theta = 1e-9
-        inside = _chol_logdet(st.mats(k_feas)) is not None
-        while not inside and theta < 1e-2:
-            k_feas = (1.0 - theta) * k_feas + theta * k0
-            theta *= 10.0
-            inside = _chol_logdet(st.mats(k_feas)) is not None
-        cert = _extract_certificate(st, t, nu, proj)
-        value = float(np.dot(c, k_feas.reshape(st.nvar)))
-        dual_value = cert.dual_value(povm)
-        if dual_value - value <= cfg.tol:
+    while True:
+        final_stage = t >= t_final
+        tol_inner = _NEWTON_TOL if final_stage else _NEWTON_TOL_PATH
+        k, iters, nu = _newton_center(st, c, t, k, iters, tol_inner, cfg.max_iters)
+        if final_stage:
             break
-        t_final *= 5.0  # certified gap too large: push the barrier further
-        # The next stage starts from the repaired point, which clears the
-        # drift, unless it is still outside the PSD cone: then from the
-        # (positive definite) centre.
-        if inside:
-            k = k_feas
-    return k_feas, cert, value, dual_value, iters
+        t = min(t * _MU_GROWTH, t_final)
+    Phi = _scaling(st, k)
+    rtil = _multipliers(st, Phi, np.zeros(st.nvar), b - st.apply_A(k))[1]
+    k = k - (Phi @ rtil.reshape(st.nblocks, st.dd, 1))[:, :, 0]
+    cert = _extract_certificate(st, t, nu, proj)
+    return k, cert, float(np.dot(c, k.reshape(st.nvar))), cert.dual_value(povm), iters
 
 
 def _round_primal(
@@ -640,7 +635,8 @@ def solve_primal(
 
     Returns a feasible decomposition whose objective is within the certified
     gap of the optimum, together with an independently verified dual
-    certificate.  Rank-deficient POVMs are mixed with ``restore_eta`` of white
+    certificate; raises ``SolverError`` when the decomposition fails its 1e-8
+    check or the gap exceeds 20 tol.  Rank-deficient POVMs are mixed with ``restore_eta`` of white
     noise to create a strict interior; the result is flagged ``restored``.
     With ``polish`` (the default) the barrier solution is rounded onto the
     optimal face identified by the dual certificate, which usually shrinks
@@ -690,6 +686,8 @@ def solve_primal(
     report = verify_decomposition(decomposition, povm, tol=1e-8)
     feas = max(report.max_proportionality_violation, report.max_reconstruction_violation,
                report.max_psd_violation)
+    if not report.passed:
+        raise SolverError(f"decomposition violates its constraints by {feas:.3e} (above 1e-8)")
     if gap > 20.0 * cfg.tol:
         raise SolverError(
             f"certified duality gap {gap:.3e} above tolerance {cfg.tol:.1e} "

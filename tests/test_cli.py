@@ -10,6 +10,8 @@ from qmrand.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from qmrand.decompositions import sqrt_decomposition_qudit, trivial_decomposition
 from qmrand.povm import NoiseModel, Povm, noisy_projective, unbiased_state
 
+from conftest import random_qubit_two_outcome
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -101,6 +103,35 @@ class TestCompute:
         assert code == EXIT_SOLVER
         assert err.startswith("solver error:")
         assert "Traceback" not in err
+
+    def test_failed_decomposition_check_exit_3(self, files, capsys, monkeypatch):
+        import qmrand.sdp as sdp
+        from qmrand.decompositions import DecompositionReport
+
+        monkeypatch.setattr(sdp, "verify_decomposition",
+                            lambda decomp, povm, tol=1e-9: DecompositionReport(0.0, 0.0, 2e-8, tol))
+        tmp, write = files
+        povm = write("povm.json", jsonio.povm_to_json(noisy_projective(2, 0.3)))
+        state = write("state.json", jsonio.state_to_json(unbiased_state(2)))
+        code = main(["compute", povm, "--state", state])
+        err = capsys.readouterr().err
+        assert code == EXIT_SOLVER
+        assert err.startswith("solver error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_minimize_state_bounds_pstar_above(self, files, capsys, seed):
+        # P* <= P(psi*) <= dual_value: the re-solve's dual value bounds Theorem 1's P*
+        tmp, write = files
+        pv = random_qubit_two_outcome(np.random.default_rng(seed))
+        povm = write("povm.json", jsonio.povm_to_json(pv))
+        cfg = write("cfg.json", {"multistarts": 2})
+        code, out = run(capsys, ["compute", povm, "--minimize-state", "--solver-config", cfg])
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["method"] == "theorem1"
+        minimized = rep["minimized"]
+        assert rep["pguess"] <= minimized["dual_value"] + 1e-9
+        assert 0.0 <= minimized["gap"] <= 20 * rep["tol"]
 
     def test_writes_output_file(self, files, capsys):
         tmp, write = files

@@ -3,6 +3,7 @@ import pytest
 
 from qmrand.closed_form import pguess_star_noisy_projective, pguess_star_qubit_two_outcome
 from qmrand.decompositions import (
+    DecompositionReport,
     sqrt_decomposition_qubit,
     sqrt_decomposition_qudit,
     verify_decomposition,
@@ -82,20 +83,85 @@ class TestSolvePrimal:
             solve_primal(PrimalProblem(noisy_projective(9, 0.5), unbiased_state(9)))
 
     @pytest.mark.parametrize("d, eps", [(6, 1e-6), (8, 0.5)])
-    def test_large_noisy_projective_brackets_closed_form(self, d, eps):
-        # eps = 1e-6: the re-projected iterate leaves the PSD cone after the
-        # first barrier path; the next stage must restart from the centre
+    def test_large_noisy_projective_brackets_closed_form(self, monkeypatch, d, eps):
+        stages = []
+        center = sdp._newton_center
+        monkeypatch.setattr(sdp, "_newton_center",
+                            lambda st, c, t, *rest: stages.append(t) or center(st, c, t, *rest))
         pstar = pguess_star_noisy_projective(NoiseModel(d, eps)).pguess
         res = solve_primal(PrimalProblem(noisy_projective(d, eps), unbiased_state(d)))
         assert not res.restored
         assert res.value <= pstar + 1e-9 <= res.dual_value + 2e-9
         assert res.gap >= -1e-12
+        # one path, ending at t_final = m n d / (tol / 4): no further push
+        t_final = d * d * d / (0.25 * SolverConfig().tol)
+        assert stages[-1] == max(stages) == t_final and stages.count(t_final) == 1
+        assert res.feasibility_residual <= 1e-8
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_zero_element_raises_solver_error(self, d):
         pv = Povm((np.eye(d), np.zeros((d, d))))
         with pytest.raises(SolverError, match="not positive definite"):
             solve_primal(PrimalProblem(pv, unbiased_state(d)))
+
+    def test_failed_decomposition_check_raises(self, monkeypatch):
+        monkeypatch.setattr(sdp, "verify_decomposition", _violating_report)
+        with pytest.raises(SolverError, match="violates its constraints by 2.000e-08"):
+            solve_primal(PrimalProblem(noisy_projective(2, 0.3), unbiased_state(2)))
+
+
+def _violating_report(decomp, povm, tol=1e-9):
+    """A verification report with a reconstruction violation of 2e-8."""
+    return DecompositionReport(0.0, 0.0, 2e-8, tol)
+
+
+# Copies of the benchmark's draws (bench/workloads.py, which is not importable).
+def random_povm(rng, d, m):
+    """Full-rank POVM: S^-1/2 G_x S^-1/2 for Ginibre G_x = A A^dagger."""
+    G = []
+    for _ in range(m):
+        A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        G.append(A @ A.conj().T)
+    w, V = np.linalg.eigh(sum(G))
+    S = (V / np.sqrt(w)) @ V.conj().T
+    return [0.5 * (E + E.conj().T) for E in (S @ g @ S for g in G)]
+
+
+def random_state(rng, d):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return v / np.linalg.norm(v)
+
+
+def _random_problems(seed, count, d_range, m_range):
+    """``count`` (POVM, state) draws, d and m each from ``rng.integers``."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        d, m = int(rng.integers(*d_range)), int(rng.integers(*m_range))
+        out.append((Povm(tuple(random_povm(rng, d, m))), PureState(random_state(rng, d))))
+    return out
+
+
+def _assert_verified_bracket(pv, state, tol):
+    """Solve at ``tol`` and check the decomposition and the certificate independently."""
+    res = solve_primal(PrimalProblem(pv, state), SolverConfig(tol=tol))
+    assert verify_dual_certificate(res.certificate, state, pv, tol=1e-9).feasible
+    assert verify_decomposition(res.decomposition, pv, 1e-9).passed
+    assert -1e-12 <= res.gap <= tol
+
+
+class TestTightTolerance:
+    def test_random_draw_verifies_at_1e_8(self):
+        # d, m in 2..4; before the drift correction every one of these hit the
+        # iteration cap or the gap gate at this tolerance
+        for pv, state in _random_problems(5, 20, (2, 5), (2, 5)):
+            _assert_verified_bracket(pv, state, 1e-8)
+
+    def test_large_random_povm_brackets_at_default(self):
+        # d = 7, m = 5: the barrier path once ended with a certified gap of 6.5e-4
+        pv, state = _random_problems(21, 2, (5, 8), (2, 6))[1]
+        assert (pv.dim, pv.num_outcomes) == (7, 5)
+        _assert_verified_bracket(pv, state, SolverConfig().tol)
 
 
 def _random_scaling(rng, st):
@@ -111,10 +177,44 @@ class TestNewtonSystem:
         st = sdp._structure(d, m, m)
         Phi = _random_scaling(rng, st)
         gtil = rng.normal(size=st.nvar)
-        nu_dense, r_dense = sdp._least_squares_multipliers(sdp._scaled_constraints(st, Phi), gtil)
-        nu, rtil = sdp._structured_multipliers(st, Phi, gtil)
-        assert np.linalg.norm(nu - nu_dense) <= 1e-10 * np.linalg.norm(nu_dense)
-        assert np.linalg.norm(rtil - r_dense) <= 1e-10 * np.linalg.norm(r_dense)
+        for r in (np.zeros(st.ncon), rng.normal(size=st.ncon)):
+            nu_dense, r_dense = sdp._least_squares_multipliers(
+                sdp._scaled_constraints(st, Phi), gtil, r)
+            nu, rtil = sdp._structured_multipliers(st, Phi, gtil, r)
+            assert np.linalg.norm(nu - nu_dense) <= 1e-10 * np.linalg.norm(nu_dense)
+            assert np.linalg.norm(rtil - r_dense) <= 1e-10 * np.linalg.norm(r_dense)
+
+    @pytest.mark.parametrize("d, m", [(3, 3), (5, 4)])
+    def test_residual_step_is_least_norm_in_the_metric(self, rng, d, m):
+        # dense path at d = m = 3, structured at d = 5, m = 4
+        st = sdp._structure(d, m, m)
+        assert st.structured == (d == 5)
+        Phi = _random_scaling(rng, st)
+        r = rng.normal(size=st.ncon)
+        rtil = sdp._multipliers(st, Phi, np.zeros(st.nvar), r)[1]
+        step = -(Phi @ rtil.reshape(st.nblocks, st.dd, 1)).reshape(st.nvar)
+        assert np.linalg.norm(st.apply_A(step) - r) <= 1e-10 * np.linalg.norm(r)
+        Atil = sdp._scaled_constraints(st, Phi)
+        ref = (Phi @ np.linalg.lstsq(Atil, r, rcond=None)[0].reshape(st.nblocks, st.dd, 1))
+        ref = ref.reshape(st.nvar)
+        assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_min_norm_fallback_meets_the_residual(self, rng, monkeypatch):
+        import scipy.linalg
+
+        Atil = rng.normal(size=(6, 15))
+        gtil = rng.normal(size=15)
+        r = rng.normal(size=6)
+        nu_chol, r_chol = sdp._least_squares_multipliers(Atil, gtil, r)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", singular)
+        nu, rtil = sdp._least_squares_multipliers(Atil, gtil, r)
+        assert np.allclose(Atil @ rtil, -r, rtol=0, atol=1e-12)
+        assert np.allclose(nu, nu_chol, rtol=0, atol=1e-12)
+        assert np.allclose(rtil, r_chol, rtol=0, atol=1e-12)
 
     def test_structured_falls_back_to_dense(self, rng, monkeypatch):
         st = sdp._structure(5, 3, 3)
