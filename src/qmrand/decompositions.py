@@ -74,14 +74,6 @@ class Decomposition:
     def dim(self) -> int:
         return self.K.shape[2]
 
-    def sub_probabilities(self) -> np.ndarray:
-        """p(j) = (1/d) sum_x tr K[x][j]."""
-        return np.real(np.einsum("xjii->j", self.K)) / self.dim
-
-    def reconstructed_povm(self) -> np.ndarray:
-        """M_x = sum_j K[x][j], as an (m, d, d) array."""
-        return self.K.sum(axis=1)
-
     def guess_value(self, state: PureState) -> float:
         """Eve's guessing probability sum_j <phi| K[j][j] |phi>."""
         if self.num_outcomes != self.num_subpovms:

@@ -13,28 +13,34 @@ equality multipliers at the final central point yield a feasible dual
 certificate (Y_x, G_j) whose objective upper-bounds the optimum, so every
 reported gap is certified rather than assumed.
 
-``solve_primal`` runs as named stages: restore a rank-deficient POVM with
-``restore_eta`` of white noise; build the constraint data ``b``, ``c`` and
-the start ``k0``; follow the barrier path (``_barrier_path``: centring by
-``_newton_center`` up to the final barrier weight, one least-norm step back
-onto A k = b in the barrier's metric, and ``_extract_certificate``); polish
-(``_round_primal`` onto the optimal face, then ``_round_dual`` to exact
-complementarity: the Newton step's multiplier solve, weighted by projectors
-onto the primal's range); and verify the decomposition to 1e-8 and the gap.
+``solve_primal`` runs as named stages:
+
+1. restore a rank-deficient POVM with ``restore_eta`` of white noise;
+2. build the constraint data ``b``, ``c`` and the start ``k0``;
+3. follow the barrier path (``_barrier_path``: centring by ``_newton_center``
+   up to the final barrier weight, one least-norm step back onto A k = b in
+   the barrier's metric, and ``_extract_certificate``);
+4. polish: ``_round_primal`` truncates each block to the rank of the optimal
+   face and returns to A k = b by Gauss-Newton steps in the face's tangent
+   space, then ``_round_dual`` fits the dual to exact complementarity (the
+   Newton step's multiplier solve, weighted by projectors onto the primal's
+   range);
+5. verify the decomposition to 1e-8 and the gap.
+
 The dual slack Y_x - G_j - d_xj P_phi is formed only by
 ``DualCertificate.slacks``, and multipliers become (Y, G) only through
 ``_Structure.dual``.
 
-The Newton step, the drift correction and the dual polish all solve for
-multipliers through ``_multipliers``.  The constraint rows touch block (x, j)
+Every affine step goes through one least-squares solve, ``_multipliers``:
+the Newton step, the drift correction, the face rounding and the dual
+polish differ only in the scaling Phi, the gradient and the primal
+residual they pass.  The constraint rows touch block (x, j)
 only through the identity rows of outcome x and the traceless rows of
 sub-POVM j.  From m n d^2 = 400 real variables on (d = 5, m = 4 and up) the
 normal matrix is therefore assembled blockwise and the outcome blocks are
 eliminated first, which leaves a Schur complement of size (n-1)(d^2-1) to
 factor (Fujisawa, Kojima and Nakata 1997; SDPT3).  Below that size Python
 call overhead dominates and the scaled constraint matrix is formed densely.
-The Euclidean projection onto the constraints (in ``_round_primal``) uses the
-closed form of A A^T.
 
 scipy is imported inside the three functions that use it (the two multiplier
 solves and the state search), so that the closed-form and entropy paths,
@@ -63,15 +69,17 @@ from .povm import NoiseModel, Povm, PureState, depolarize, unbiased_state
 MAX_SDP_DIM = 8
 MAX_SDP_OUTCOMES = 8
 
+_MU0 = 1.0                   # barrier weight of the first centring stage
 _MU_GROWTH = 60.0
 _NEWTON_TOL = 1e-10          # squared-decrement/2 at the final barrier stage
 _NEWTON_TOL_PATH = 1e-5      # loose centering while t still grows
 _MAX_INNER = 60
 _ARMIJO = 0.25
+_ROUND_STEPS = 8             # Gauss-Newton steps of the face rounding
 
 # Lower bound of each SolverConfig field and whether the bound itself is excluded.
-_CONFIG_BOUNDS = {"tol": (0, True), "max_iters": (1, False), "barrier_mu0": (0, True),
-                  "restore_eta": (0, False), "multistarts": (0, False), "seed": (0, False)}
+_CONFIG_BOUNDS = {"tol": (0, True), "max_iters": (1, False), "restore_eta": (0, False),
+                  "multistarts": (0, False), "seed": (0, False)}
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,6 @@ class SolverConfig:
 
     tol: float = 1e-6
     max_iters: int = 200
-    barrier_mu0: float = 1.0
     restore_eta: float = 1e-8
     multistarts: int = 32
     seed: int = 7
@@ -118,17 +125,10 @@ class SolverConfig:
 class PrimalProblem:
     povm: Povm
     state: PureState
-    num_subpovms: int | None = None
 
     def __post_init__(self):
         if self.state.dim != self.povm.dim:
             raise ValidationError("state and POVM dimensions differ")
-        n = self.num_subpovms if self.num_subpovms is not None else self.povm.num_outcomes
-        if n != self.povm.num_outcomes:
-            raise ValidationError(
-                "the solver fixes the number of sub-POVMs equal to the number of outcomes"
-            )
-        object.__setattr__(self, "num_subpovms", n)
 
 
 @dataclass(frozen=True)
@@ -270,28 +270,6 @@ class _Structure:
         out[:, : n - 1] += nu[: self.group2_start].reshape(n - 1, dd - 1) @ self.tau
         return out.reshape(self.nblocks, dd)
 
-    def project(self, k: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Euclidean projection of k onto the affine space {A k = b}."""
-        return k.reshape(self.nblocks, self.dd) + self.apply_AT(self._solve_AAT(b - self.apply_A(k)))
-
-    def _solve_AAT(self, r: np.ndarray) -> np.ndarray:
-        """(A A^T)^-1 r in closed form.
-
-        A A^T is m I on group 1 (tau has orthonormal rows), n I on group 2
-        and tau in every (sub-POVM j, outcome x) block, so with
-        s1 = sum_j y1_j and s2 = sum_x y2_x the system collapses to two
-        small equations.
-        """
-        m, n, dd, n1 = self.m, self.n, self.dd, self.group2_start
-        r1 = r[:n1].reshape(n - 1, dd - 1)
-        r2 = r[n1:].reshape(m, dd)
-        R2 = r2.sum(axis=0)
-        s1 = (n * r1.sum(axis=0) - (n - 1) * (self.tau @ R2)) / m
-        s2 = (R2 - m * (self.tau.T @ s1)) / n
-        y1 = (r1 - self.tau @ s2) / m
-        y2 = (r2 - self.tau.T @ s1) / n
-        return np.concatenate([y1.ravel(), y2.ravel()])
-
     def dual(self, nu: np.ndarray) -> tuple[list, list]:
         """Dual matrices (Y, G) of multipliers ``nu`` in constraint-row layout.
 
@@ -363,13 +341,19 @@ def _least_squares_multipliers(Atil: np.ndarray, gtil: np.ndarray,
     With a primal residual ``r``, rtil = gtil + Atil^T nu also meets
     Atil rtil = -r, so the step -Phi rtil adds r to A k.  Corrected seminormal
     equations (Cholesky plus one refinement sweep), or the minimum-norm
-    solution when the Gram matrix is singular, as for the polish.
+    solution when the Gram matrix is singular, as for the polish.  Singular
+    means that the Cholesky fails or that its smallest squared pivot is below
+    1e-12 of its largest: a Gram matrix singular up to rounding can pass the
+    Cholesky, and the solve then keeps large null-space parts.
     """
     from scipy.linalg import cho_factor, cho_solve
 
     rhs = Atil @ gtil + r
     try:
         fac = cho_factor(Atil @ Atil.T, lower=True, check_finite=False)
+        root = fac[0].diagonal()   # square roots of the pivots
+        if root.min() < 1e-6 * root.max():
+            raise np.linalg.LinAlgError("Gram matrix singular up to rounding")
         nu = cho_solve(fac, -rhs, check_finite=False)
         rtil = gtil + Atil.T @ nu
         nu = nu - cho_solve(fac, Atil @ rtil + r, check_finite=False)
@@ -556,7 +540,7 @@ def _barrier_path(
     dual_value, iterations).
     """
     t_final = st.m * st.n * st.d / (0.25 * cfg.tol)
-    t, k, iters = cfg.barrier_mu0, k0, 0
+    t, k, iters = _MU0, k0, 0
     while True:
         final_stage = t >= t_final
         tol_inner = _NEWTON_TOL if final_stage else _NEWTON_TOL_PATH
@@ -578,10 +562,14 @@ def _round_primal(
     """Round the center onto the optimal face identified by the dual slacks.
 
     The optimal K[x][j] lives in the near-kernel of the dual slack Z[x][j]
-    (eigenvalues below sqrt(gap), relative).  Alternating projections
-    between the affine constraint space and the blockwise rank-r PSD cone
-    (r from the slack spectrum) converge to that face; the result is
-    returned as (k, value) only if it verifies and does not lower the value.
+    (eigenvalues below sqrt(gap), relative), so each block is truncated to
+    rank d - rank(Z[x][j]).  Gauss-Newton on that fixed-rank set then
+    restores A k = b (Absil, Mahony and Sepulchre 2008, ch. 8): each step is
+    the least-norm step onto A k = b inside the tangent space of the
+    truncated blocks, X -> X - Q X Q with Q the projector onto each block's
+    dropped eigenvectors, so it is ``_multipliers`` with that projection as
+    Phi; a new truncation follows.  The result is returned as (k, value) only
+    if it verifies and does not lower the value.
     """
     d = st.d
     tau = max(np.sqrt(max(gap, 0.0)), 1e-9)
@@ -589,16 +577,19 @@ def _round_primal(
     ranks = d - np.sum(w < tau * np.maximum(1.0, w[:, -1:]), axis=1)
     drop = np.arange(d) < ranks[:, None]   # the rank(Z) smallest eigenvalues of each block
     kv = k
-    for _ in range(400):
+    for step in range(_ROUND_STEPS + 1):   # each step is followed by a truncation
         w, V = np.linalg.eigh(st.mats(kv))
         w[drop] = 0.0
-        w = np.maximum(w, 0.0)
-        kv = st.coords_of_stack((V * w[:, None, :]) @ V.conj().swapaxes(1, 2))
-        resid = max_abs(st.apply_A(kv) - b)
-        kv = st.project(kv, b)
-        if resid <= 1e-13:
+        kv = st.coords_of_stack((V * np.maximum(w, 0.0)[:, None, :]) @ V.conj().swapaxes(1, 2))
+        r = b - st.apply_A(kv)
+        if max_abs(r) <= 1e-13 or step == _ROUND_STEPS:
             break
-    feas = max_abs(st.apply_A(kv) - b)
+        Vq = V * drop[:, None, :]
+        Q = Vq @ Vq.conj().swapaxes(1, 2)
+        Phi = np.eye(st.dd) - _sandwich(st, Q, Q)
+        rtil = _multipliers(st, Phi, np.zeros(st.nvar), r)[1]
+        kv = kv - (Phi @ rtil.reshape(st.nblocks, st.dd, 1))[:, :, 0]
+    feas = max_abs(r)
     min_eig = float(np.min(np.linalg.eigvalsh(st.mats(kv))))
     value_new = float(np.dot(c, kv.reshape(st.nvar)))
     if feas > 1e-11 or min_eig < -1e-11 or value_new < value:
@@ -645,7 +636,7 @@ def solve_primal(
     cfg = config or SolverConfig()
     povm, state = problem.povm, problem.state
     d, m = povm.dim, povm.num_outcomes
-    n = problem.num_subpovms
+    n = m   # one sub-POVM per outcome
     if d > MAX_SDP_DIM or m > MAX_SDP_OUTCOMES:
         raise ValidationError(f"solver supports d <= {MAX_SDP_DIM}, outcomes <= {MAX_SDP_OUTCOMES}")
 

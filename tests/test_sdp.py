@@ -74,10 +74,6 @@ class TestSolvePrimal:
         # the guessing probability scales like sqrt(eta) around eps = 0
         assert abs(res.value - 0.5) < 1e-3
 
-    def test_rejects_subpovm_count_mismatch(self):
-        with pytest.raises(ValidationError):
-            PrimalProblem(noisy_projective(2, 0.5), unbiased_state(2), num_subpovms=3)
-
     def test_scale_cap(self):
         with pytest.raises(ValidationError):
             solve_primal(PrimalProblem(noisy_projective(9, 0.5), unbiased_state(9)))
@@ -164,6 +160,27 @@ class TestTightTolerance:
         _assert_verified_bracket(pv, state, SolverConfig().tol)
 
 
+class TestPrimalRounding:
+    def test_random_draw_rounds_onto_the_face(self, monkeypatch):
+        # d = 3, m = 4: 400 rounds of alternating projections left this one unaccepted
+        pv, state = _random_problems(5, 20, (2, 5), (2, 5))[2]
+        assert (pv.dim, pv.num_outcomes) == (3, 4)
+        rounded = []
+        round_primal = sdp._round_primal
+        monkeypatch.setattr(sdp, "_round_primal",
+                            lambda *args: rounded.append(round_primal(*args)) or rounded[-1])
+        res = solve_primal(PrimalProblem(pv, state))
+        [out] = rounded
+        assert out is not None and out[1] == res.value
+        # the dual fit is refused here, so the barrier's certificate stays
+        assert -1e-12 <= res.gap <= SolverConfig().tol
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_polished_noisy_projective_gap(self, d):
+        res = solve_primal(PrimalProblem(noisy_projective(d, 0.05), unbiased_state(d)))
+        assert -1e-12 <= res.gap <= 1e-12
+
+
 def _random_scaling(rng, st):
     X = rng.normal(size=(st.nblocks, st.d, st.d)) + 1j * rng.normal(size=(st.nblocks, st.d, st.d))
     K = X @ X.conj().swapaxes(1, 2) + 1e-3 * np.eye(st.d)
@@ -231,15 +248,24 @@ class TestNewtonSystem:
 
     @pytest.mark.parametrize("d, m", [(2, 2), (3, 4), (5, 3)])
     def test_affine_projection_matches_dense(self, rng, d, m):
+        # every affine step maps through apply_A, which must agree with the dense A
         st = sdp._structure(d, m, m)
         A = st.A3.reshape(st.ncon, st.nvar)
         k = rng.normal(size=st.nvar)
-        b = rng.normal(size=st.ncon)
         assert np.allclose(st.apply_A(k), A @ k, rtol=0, atol=1e-12)
-        ref = k + A.T @ np.linalg.lstsq(A @ A.T, b - A @ k, rcond=None)[0]
-        proj = st.project(k, b).reshape(st.nvar)
-        assert np.allclose(proj, ref, rtol=0, atol=1e-12)
-        assert np.allclose(A @ proj, b, rtol=0, atol=1e-12)
+
+    def test_singular_gram_takes_the_min_norm_solve(self):
+        # the sixth row of Atil is a combination of the first five, so A A^T is
+        # singular up to rounding; without the pivot test 8 of these 20 draws got a wrong nu
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            Atil = rng.normal(size=(6, 20))
+            Atil[5] = rng.normal(size=5) @ Atil[:5]
+            gtil = rng.normal(size=20)
+            nu, rtil = sdp._least_squares_multipliers(Atil, gtil)
+            ref = np.linalg.lstsq(Atil.T, -gtil, rcond=None)[0]
+            assert np.allclose(nu, ref, rtol=0, atol=1e-10)
+            assert np.allclose(rtil, gtil + Atil.T @ ref, rtol=0, atol=1e-10)
 
 
 class TestDualMaps:
@@ -499,13 +525,13 @@ class TestSolverConfig:
 
     def test_json_keys(self):
         keys = set(SolverConfig().to_json_dict())
-        assert keys == {"tol", "max_iters", "barrier_mu0", "restore_eta", "multistarts", "seed"}
+        assert keys == {"tol", "max_iters", "restore_eta", "multistarts", "seed"}
 
     @pytest.mark.parametrize("name, value", [
         ("tol", 0), ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")), ("tol", "abc"),
-        ("max_iters", 0), ("max_iters", 2.5), ("barrier_mu0", 0.0), ("restore_eta", -1e-9),
+        ("max_iters", 0), ("max_iters", 2.5), ("restore_eta", -1e-9),
         ("multistarts", -1), ("multistarts", 2.0), ("seed", -1), ("seed", True),
-        ("tol", 10**400), ("barrier_mu0", -float("inf")),
+        ("tol", 10**400),
     ])
     def test_rejects_bad_fields(self, name, value):
         with pytest.raises(ValidationError, match=name):
@@ -524,3 +550,8 @@ class TestSolverConfig:
         with pytest.raises(ValidationError, match="'tolerance'"):
             SolverConfig.from_json_dict({"tolerance": 1e-3, "seed": 1})
         assert SolverConfig.from_json_dict({"multistarts": 2}) == SolverConfig(multistarts=2)
+
+    def test_from_json_rejects_the_removed_barrier_weight(self):
+        # the first barrier weight is a module constant now, not a config field
+        with pytest.raises(ValidationError, match="'barrier_mu0'"):
+            SolverConfig.from_json_dict({"barrier_mu0": 1.0})
