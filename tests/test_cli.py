@@ -95,14 +95,28 @@ class TestCompute:
         assert 1 / 3 <= rep["pguess"] <= 1.0
 
     def test_solver_error_exit_3(self, files, capsys):
+        # one Newton step cannot reach the barrier's end
         tmp, write = files
-        povm = write("povm.json", jsonio.povm_to_json(Povm((np.eye(2), np.zeros((2, 2))))))
-        state = write("state.json", jsonio.state_to_json(unbiased_state(2)))
-        code = main(["compute", povm, "--state", state])
+        povm = write("povm.json", jsonio.povm_to_json(noisy_projective(3, 0.2)))
+        state = write("state.json", jsonio.state_to_json(unbiased_state(3)))
+        cfg = write("cfg.json", {"max_iters": 1})
+        code = main(["compute", povm, "--state", state, "--solver-config", cfg])
         err = capsys.readouterr().err
         assert code == EXIT_SOLVER
-        assert err.startswith("solver error:")
+        assert err.startswith("solver error:") and "iteration cap 1 exceeded" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_element_exit_0(self, files, capsys, d):
+        # solved on the faces: the zero outcome drops out and P* = 1
+        tmp, write = files
+        povm = write("povm.json", jsonio.povm_to_json(Povm((np.eye(d), np.zeros((d, d))))))
+        state = write("state.json", jsonio.state_to_json(unbiased_state(d)))
+        code, out = run(capsys, ["compute", povm, "--state", state])
+        assert code == EXIT_OK
+        rep = json.loads(out)["sdp_at_state"]
+        assert rep["restored"] and abs(rep["pguess"] - 1.0) <= 1e-6
+        assert -1e-12 <= rep["gap"] <= 1e-6
 
     def test_failed_decomposition_check_exit_3(self, files, capsys, monkeypatch):
         import qmrand.sdp as sdp
@@ -364,6 +378,8 @@ BAD_NUMBERS = {
         ["compute", "{povm}", "--state", "{state}", "--solver-config", "{cfg_long_int}"], None),
     "config-unknown-key": (
         ["compute", "{povm}", "--state", "{state}", "--solver-config", "{cfg_unknown_key}"], None),
+    "config-removed-restore-eta": (
+        ["compute", "{povm}", "--state", "{state}", "--solver-config", "{cfg_restore_eta}"], None),
 }
 
 
@@ -377,6 +393,7 @@ def test_bad_numbers_exit_2_without_traceback(files, capsys, monkeypatch, argv, 
         "cfg_list": write("cfg_list.json", [1, 2]),
         "cfg_huge_tol": write("cfg_huge_tol.json", {"tol": 10**400}),
         "cfg_unknown_key": write("cfg_unknown_key.json", {"tolerance": 1e-3}),
+        "cfg_restore_eta": write("cfg_restore_eta.json", {"restore_eta": 1e-8}),
         "cfg_long_int": str(tmp / "cfg_long_int.json"),
     }
     (tmp / "cfg_long_int.json").write_text('{"seed": 1' + "0" * 5000 + "}")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,10 +74,22 @@ class TestSolvePrimal:
         assert abs(chk.dual_value - res.dual_value) < 1e-12
 
     def test_rank_deficient_restoration(self):
+        # facial reduction is exact: no white noise, so no sqrt(eta) bias at eps = 0
         res = solve_primal(PrimalProblem(noisy_projective(2, 0.0), unbiased_state(2)))
         assert res.restored
-        # the guessing probability scales like sqrt(eta) around eps = 0
-        assert abs(res.value - 0.5) < 1e-3
+        assert abs(res.value - 0.5) <= SolverConfig().tol
+        assert res.gap >= -1e-12
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_projective_solves_exactly_on_the_faces(self, d):
+        tol = SolverConfig().tol
+        res = solve_primal(PrimalProblem(noisy_projective(d, 0.0), unbiased_state(d)))
+        assert res.restored
+        assert abs(res.value - 1.0 / d) <= tol
+        assert -1e-12 <= res.gap <= tol
+        # the objective is constant on the reduced feasible set, so the start is every
+        # centre (under depolarizing restoration d = 8 took 91 steps, eps = 0.5 takes 38)
+        assert res.iterations == 0
 
     def test_scale_cap(self):
         with pytest.raises(ValidationError):
@@ -94,16 +111,36 @@ class TestSolvePrimal:
         assert stages[-1] == max(stages) == t_final and stages.count(t_final) == 1
         assert res.feasibility_residual <= 1e-8
 
-    @pytest.mark.parametrize("d", [2, 5])
-    def test_zero_element_raises_solver_error(self, d):
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_zero_element_solves_to_one(self, d):
+        # the zero outcome's face is {0}: its blocks drop out and P* = 1
         pv = Povm((np.eye(d), np.zeros((d, d))))
-        with pytest.raises(SolverError, match="not positive definite"):
-            solve_primal(PrimalProblem(pv, unbiased_state(d)))
+        res = solve_primal(PrimalProblem(pv, unbiased_state(d)))
+        assert res.restored
+        assert abs(res.value - 1.0) <= SolverConfig().tol
+        assert -1e-12 <= res.gap <= SolverConfig().tol
+        assert verify_dual_certificate(res.certificate, unbiased_state(d), pv).feasible
 
     def test_failed_decomposition_check_raises(self, monkeypatch):
         monkeypatch.setattr(sdp, "verify_decomposition", _violating_report)
         with pytest.raises(SolverError, match="violates its constraints by 2.000e-08"):
             solve_primal(PrimalProblem(noisy_projective(2, 0.3), unbiased_state(2)))
+
+    def test_failed_certificate_check_raises(self, monkeypatch):
+        monkeypatch.setattr(sdp, "verify_dual_certificate",
+                            lambda cert, state, povm: sdp.DualCheck(0.5, False, -2e-9, 0.0))
+        with pytest.raises(SolverError, match="least slack eigenvalue -2.000e-09"):
+            solve_primal(PrimalProblem(noisy_projective(2, 0.3), unbiased_state(2)))
+
+    @pytest.mark.parametrize("polish", [True, False])
+    def test_negative_gap_raises(self, monkeypatch, polish):
+        # a dual value below the primal value is no bracket, whatever its size
+        real = DualCertificate.dual_value
+        monkeypatch.setattr(DualCertificate, "dual_value",
+                            lambda cert, povm: real(cert, povm) - 1e-6)
+        with pytest.raises(SolverError, match="above the certified dual value"):
+            solve_primal(PrimalProblem(noisy_projective(2, 0.3), unbiased_state(2)),
+                         polish=polish)
 
 
 def _violating_report(decomp, povm, tol=1e-9):
@@ -302,7 +339,8 @@ def _rounded_primal(povm, state):
     """(st, c, k, proj) at the primal that a polished solve returns."""
     res = solve_primal(PrimalProblem(povm, state))
     d, m = povm.dim, povm.num_outcomes
-    st = sdp._structure(d, m, m)
+    bases = sdp._face_bases(povm)
+    st = sdp._structure(d, m, m) if bases is None else sdp._Structure(d, m, m, bases)
     proj = state.projector()
     c = np.zeros((m, m, st.dd))
     c[range(m), range(m)] = st.coords(proj)
@@ -310,11 +348,12 @@ def _rounded_primal(povm, state):
     return st, c.ravel(), k, proj
 
 
-def _reference_round_dual(st, k, proj):
-    """The polish fit built row by row: Z v = d_xj P v for each kept eigenvector v of K[x][j]."""
-    d, n, dd = st.d, st.n, st.dd
+def _reference_round_dual(st, k, proj, tol):
+    """The polish fit built row by row: P Z v = d_xj P proj v for each kept eigenvector v
+    of K[x][j], P the projector onto the face of outcome x."""
+    d, n, dd, s = st.d, st.n, st.dd, st.s
     rows, rhs = [], []
-    for blk, Kb in enumerate(st.mats(k)):
+    for blk, (Kb, P) in enumerate(zip(st.mats(k), st.P)):
         x, j = divmod(blk, n)
         w, V = np.linalg.eigh(Kb)
         for v in V[:, w > max(w[-1], 0.0) * 1e-7 + 1e-12].T:
@@ -322,27 +361,30 @@ def _reference_round_dual(st, k, proj):
             row = np.zeros((d, st.ncon), dtype=complex)
             row[:, st.group2_start + x * dd : st.group2_start + (x + 1) * dd] = (st.B @ v).T
             if j < n - 1:
-                row[:, j * (dd - 1) : (j + 1) * (dd - 1)] = (st.T @ v).T
-            rows.append(row)
-            rhs.append(proj @ v if x == j else np.zeros(d))
+                row[:, j * s : (j + 1) * s] = (st.T @ v).T
+            rows.append(P @ row)
+            rhs.append(P @ proj @ v if x == j else np.zeros(d))
     A = np.concatenate([np.vstack([r.real, r.imag]) for r in rows])
     b = np.concatenate([np.concatenate([v.real, v.imag]) for v in rhs])
     Y, G = st.dual(np.linalg.lstsq(A, b, rcond=None)[0])
-    return sdp._shift_to_dual_feasible(DualCertificate(tuple(Y), tuple(G)), proj, reject_below=-1e-6)
+    return sdp._dual_certificate(st, Y, G, proj, tol, reject_below=-1e-6)
 
 
 class TestDualPolish:
     # dense d = 3, structured d = 6, and two rank-deficient polish systems at d = 2
-    # (restored eps = 0, and eps = 0.2)
+    # (face-reduced eps = 0, and eps = 0.2)
     @pytest.mark.parametrize("d, eps", [(3, 0.2), (6, 0.2), (2, 0.0), (2, 0.2)])
     def test_round_dual_matches_row_reference(self, d, eps):
+        tol = SolverConfig().tol
         st, c, k, proj = _rounded_primal(noisy_projective(d, eps), unbiased_state(d))
-        assert st.structured == (d == 6)
-        cert = sdp._round_dual(st, c, k, proj)
-        ref = _reference_round_dual(st, k, proj)
+        assert st.structured == (d == 6) and st.reduced == (eps == 0.0)
+        cert = sdp._round_dual(st, c, k, proj, tol)
+        ref = _reference_round_dual(st, k, proj, tol)
         assert cert is not None and ref is not None
-        # relative to the largest entry: the restored fit has entries near 1/sqrt(restore_eta)
-        got, want = np.stack(cert.Y + cert.G), np.stack(ref.Y + ref.G)
+        # on the faces: off them the lift's entries near 1 / tol amplify rounding
+        faces = st.P[:: st.n]
+        got, want = (np.concatenate([faces @ np.stack(c.Y) @ faces, np.stack(c.G)])
+                     for c in (cert, ref))
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("eps", [0.0, 0.2])
@@ -351,7 +393,7 @@ class TestDualPolish:
         calls = []
         monkeypatch.setattr(sdp, "_multipliers",
                             lambda st, Phi, g: calls.append((Phi, g)) or (np.zeros(st.ncon), g))
-        sdp._round_dual(st, c, k, proj)
+        sdp._round_dual(st, c, k, proj, SolverConfig().tol)
         [(Phi, gtil)] = calls
         Atil = sdp._scaled_constraints(st, Phi)
         assert np.linalg.matrix_rank(Atil) < st.ncon
@@ -359,6 +401,28 @@ class TestDualPolish:
         ref = np.linalg.lstsq(Atil.T, -gtil, rcond=None)[0]
         assert np.allclose(nu, ref, rtol=0, atol=1e-10)
         assert np.allclose(rtil, gtil + Atil.T @ ref, rtol=0, atol=1e-10)
+
+
+_SOLVE_NP4_EPS0 = """
+from qmrand.povm import noisy_projective, unbiased_state
+from qmrand.sdp import PrimalProblem, solve_primal
+print(repr(solve_primal(PrimalProblem(noisy_projective(4, 0.0), unbiased_state(4))).value))
+"""
+
+
+def test_face_reduced_value_does_not_depend_on_blas_threads():
+    # under depolarizing restoration the polish of this input was once accepted on
+    # one thread and refused on two, and the values differed by 2.8e-9
+    src = Path(__file__).resolve().parents[1] / "src"
+    values = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", _SOLVE_NP4_EPS0], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        values.append(float(proc.stdout))
+    assert abs(values[0] - values[1]) <= 1e-12
 
 
 class TestAnalyticDualCertificate:
@@ -525,11 +589,11 @@ class TestSolverConfig:
 
     def test_json_keys(self):
         keys = set(SolverConfig().to_json_dict())
-        assert keys == {"tol", "max_iters", "restore_eta", "multistarts", "seed"}
+        assert keys == {"tol", "max_iters", "multistarts", "seed"}
 
     @pytest.mark.parametrize("name, value", [
         ("tol", 0), ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")), ("tol", "abc"),
-        ("max_iters", 0), ("max_iters", 2.5), ("restore_eta", -1e-9),
+        ("max_iters", 0), ("max_iters", 2.5),
         ("multistarts", -1), ("multistarts", 2.0), ("seed", -1), ("seed", True),
         ("tol", 10**400),
     ])
@@ -538,7 +602,7 @@ class TestSolverConfig:
             SolverConfig(**{name: value})
 
     def test_accepts_boundaries(self):
-        cfg = SolverConfig(tol=1, max_iters=1, restore_eta=0.0, multistarts=0, seed=0)
+        cfg = SolverConfig(tol=1, max_iters=1, multistarts=0, seed=0)
         assert SolverConfig.from_json_dict(cfg.to_json_dict()) == cfg
         assert SolverConfig(seed=10**400, max_iters=10**400).seed == 10**400
 
@@ -555,3 +619,8 @@ class TestSolverConfig:
         # the first barrier weight is a module constant now, not a config field
         with pytest.raises(ValidationError, match="'barrier_mu0'"):
             SolverConfig.from_json_dict({"barrier_mu0": 1.0})
+
+    def test_from_json_rejects_the_removed_restore_eta(self):
+        # facial reduction replaced depolarizing restoration and its weight
+        with pytest.raises(ValidationError, match="'restore_eta'"):
+            SolverConfig.from_json_dict({"restore_eta": 1e-8})
