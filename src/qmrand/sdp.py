@@ -33,10 +33,14 @@ multipliers become (Y, G) only through ``_Structure.dual``, and (Y, G) become
 a certificate only through ``_dual_certificate``.  Every affine step (Newton
 step, drift correction, face rounding, dual polish) is one least-squares
 solve, ``_multipliers``, differing only in the scaling Phi, the gradient and
-the primal residual.  From m n d^2 = 400 real variables on the normal matrix
+the primal residual.  From m n d^2 = 256 real variables on the normal matrix
 is assembled blockwise and the outcome blocks are eliminated first, leaving a
 Schur complement of size (n-1)(d^2-1) (Fujisawa, Kojima and Nakata 1997;
-SDPT3); below that, Python call overhead dominates and A Phi is formed densely.
+SDPT3), with the per-outcome solves batched over the outcomes; below that,
+Python call overhead dominates and A Phi is formed densely.  Each block's
+scaling Phi is one real matrix product (``_sandwich``).  The final centring
+stage stops at the float floor of the Newton decrement, so the step count
+does not depend on how the kernels round.
 
 scipy is imported inside the functions that use it, so that the closed-form
 and entropy paths, which never solve an SDP, do not pay its import time.
@@ -68,6 +72,7 @@ _MU0 = 1.0                   # barrier weight of the first centring stage
 _MU_GROWTH = 60.0
 _NEWTON_TOL = 1e-10          # squared-decrement/2 at the final barrier stage
 _NEWTON_TOL_PATH = 1e-5      # loose centering while t still grows
+_NEWTON_FLOOR = 1e-6         # below this squared decrement a final step must cut it 4x
 _MAX_INNER = 60
 _ARMIJO = 0.25
 _ROUND_STEPS = 8             # Gauss-Newton steps of the face rounding
@@ -228,7 +233,6 @@ class _Structure:
         self.nblocks = m * n
         self.nvar = m * n * dd
         self.B = hermitian_basis(d)
-        self.Ubig = self.B.reshape(dd, dd).T.copy()   # column a = vec(B_a)
         self.T = traceless_basis(d)
         self.tau = np.einsum("aij,tji->ta", self.B, self.T).real  # (s, dd)
         self.reduced = bases is not None
@@ -251,10 +255,11 @@ class _Structure:
         self.group2_start = (n - 1) * self.s
         self.ncon = self.group2_start + m * dd
         self.eye_coords = self.coords_of_stack(self.P)   # coords of each face's identity
-        # Multiplier solve, dense -> blockwise (ms, one BLAS thread): nvar 256
-        # (d = m = 4) 0.37 -> 0.87, 324 (d = 6, m = 3) 0.79 -> 1.02, 400
-        # (d = 5, m = 4) 1.47 -> 1.07, 625 (d = m = 5) 3.13 -> 1.34.
-        self.structured = self.nvar >= 400
+        # Multiplier solve, dense -> blockwise (ms, best of 3, one BLAS thread, 2 vCPUs):
+        # nvar 16 (d = m = 2) 0.05 -> 0.15, 81 (d = m = 3) 0.11 -> 0.19, 225
+        # (d = 5, m = 3) 0.67 -> 0.65, 256 (d = m = 4) 0.62 -> 0.57, 324 (d = 6,
+        # m = 3) 1.06 -> 0.61, 400 (d = 5, m = 4) 1.16 -> 0.55, 625 (d = m = 5) 3.27 -> 0.70.
+        self.structured = self.nvar >= 256
 
     @cached_property
     def A3(self) -> np.ndarray:
@@ -343,19 +348,58 @@ def _chol_logdet(st: _Structure, k: np.ndarray) -> float | None:
     return 2.0 * float(np.sum(np.log(np.einsum("bii->bi", L).real)))
 
 
+@cache
+def _real_sandwich_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per d: the Hermitian basis split into its real parts, and the gather of two real forms.
+
+    ``U[i, c, k, a]`` is part c (0 real, 1 imaginary) of B_a[i, k], returned as
+    (2d, d dd) and as (d, 2d, dd).  A pair (L, R) of d x d complex matrices,
+    read as 4 d^2 floats, gathers with ``index`` and ``sign`` into the real
+    form of L with rows and columns ordered (i, c) and that of R^T = conj(R)
+    with rows and columns ordered (c, k): [[Re, -Im], [Im, Re]] in both.
+    """
+    dd = d * d
+    B = hermitian_basis(d)
+    U = np.ascontiguousarray(np.stack([B.real, B.imag]).transpose(2, 0, 3, 1))
+    i, c, k, c2 = np.meshgrid(*map(np.arange, (d, 2, d, 2)), indexing="ij")
+    # Entry ((i, c), (k, c2)) reads the real part of entry (i, k) if c == c2, else its
+    # imaginary part: float 2 (i d + k) + (c != c2) of L, 2 d^2 further on of R.
+    at = 2 * (i * d + k) + (c != c2)
+    # Rows and columns (i, c) for L; (c, k) for conj(R), whose imaginary part flips sign.
+    index = [at, (2 * dd + at).transpose(1, 0, 3, 2)]
+    sign = [np.where(c < c2, -1.0, 1.0), np.where(c > c2, -1.0, 1.0).transpose(1, 0, 3, 2)]
+    index, sign = (np.stack([a.reshape(2 * d, 2 * d) for a in pair]) for pair in (index, sign))
+    tables = U.reshape(2 * d, d * dd), U.reshape(d, 2 * d, dd), index, sign
+    for table in tables:
+        table.flags.writeable = False   # shared by every caller through the cache
+    return tables
+
+
 def _sandwich(st: _Structure, L: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """coords(X) -> coords(L X R) per block, as (nblocks, dd, dd): Re(U^H (L kron R^T) U)."""
-    T = (L[:, :, None, :, None] * R.swapaxes(1, 2)[:, None, :, None, :]).reshape(
-        st.nblocks, st.dd, st.dd
-    )
-    return np.real(st.Ubig.conj().T @ T @ st.Ubig)
+    """coords(X) -> coords(L X R) per block for Hermitian L, R, as (nblocks, dd, dd).
+
+    The matrix is Re(U^H (L kron R^T) U) = Re(X^H Y) with X = (L kron 1) U and
+    Y = (1 kron R^T) U, U the basis as columns.  Each factor is formed by one
+    real product from ``_real_sandwich_tables``, with its real and imaginary
+    parts stacked as rows, so the sandwich is one real (dd x 2dd x dd) product
+    per block: a quarter of the flops of the two complex dd^3 products.
+    """
+    nb, d, dd = st.nblocks, st.d, st.dd
+    Ux, Uy, index, sign = _real_sandwich_tables(d)
+    pair = np.empty((nb, 2, d, d), dtype=complex)
+    pair[:, 0], pair[:, 1] = L, R
+    real = pair.reshape(nb, 2 * dd).view(float)[:, index] * sign
+    X = (real[:, 0] @ Ux).reshape(nb, 2 * dd, dd)
+    Y = (real[:, 1, None] @ Uy).reshape(nb, 2 * dd, dd)
+    return X.swapaxes(1, 2) @ Y
 
 
 def _scaling(st: _Structure, k: np.ndarray) -> np.ndarray:
     """Phi: coords(X) -> coords(R X R) per block, as (nblocks, dd, dd).
 
     R = (K + I - P)^(1/2) - (I - P) is the root of K on its face and zero off
-    it, so Phi maps every direction into the faces.
+    it, so Phi maps every direction into the faces.  Phi is symmetric, and
+    ``_sandwich`` forms it as one real product per block.
     """
     w, V = np.linalg.eigh(st.mats(k) + st.Pi)
     w = np.maximum(w, 1e-300)
@@ -408,36 +452,33 @@ def _structured_multipliers(st: _Structure, Phi: np.ndarray, gtil: np.ndarray,
     The D_x are eliminated by Cholesky, D_x = L_x L_x^T, which leaves the
     Schur complement S = blockdiag(tau C_j tau^T) - sum_x W_x^T W_x with
     W_x = L_x^-1 [H_xj tau^T]_j to factor.  H_xj maps into the face of x, so
-    tau H_xj is the faces' row; D_x takes ``reg`` off the face.  Falls back to
+    tau H_xj is the faces' row; D_x takes ``reg`` off the face.  Every
+    per-outcome operation is one batched product over the (m, dd, dd) stack
+    of the inverses L_x^-1, not a loop of triangular solves.  Falls back to
     the dense solve when a factor loses definiteness.
     """
-    from scipy.linalg import cho_factor, cho_solve, solve_triangular
+    from scipy.linalg import cho_factor, cho_solve
 
     m, n, dd, n1, s = st.m, st.n, st.dd, st.group2_start, st.s
     tau = st.tau
     H = (Phi @ Phi).reshape(m, n, dd, dd)
     try:
-        L = np.linalg.cholesky(H.sum(axis=1) + st.reg)
-        HtauT = (H[:, : n - 1] @ tau.T).transpose(0, 2, 1, 3).reshape(m, dd, n1)
-        W = np.stack([solve_triangular(L[x], HtauT[x], lower=True, check_finite=False)
-                      for x in range(m)])
+        Linv = np.linalg.inv(np.linalg.cholesky(H.sum(axis=1) + st.reg))
+        tauH = tau @ H[:, : n - 1]   # (m, n-1, s, dd): the rows tau H_xj, H_xj symmetric
+        W = Linv @ tauH.reshape(m, n1, dd).swapaxes(1, 2)
         Wf = W.reshape(m * dd, n1)
         S = -(Wf.T @ Wf)
-        P = tau @ H[:, : n - 1].sum(axis=0) @ tau.T
-        for j in range(n - 1):
-            S[j * s : (j + 1) * s, j * s : (j + 1) * s] += P[j]
+        diag = np.arange(n - 1)
+        S.reshape(n - 1, s, n - 1, s)[diag, :, diag] += tauH.sum(axis=0) @ tau.T
         fac = cho_factor(S, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         return _least_squares_multipliers(_scaled_constraints(st, Phi), gtil, r, st.gram_reg)
 
     def solve_normal(r: np.ndarray) -> np.ndarray:
-        y = np.stack([solve_triangular(L[x], r[n1 + x * dd : n1 + (x + 1) * dd], lower=True,
-                                       check_finite=False) for x in range(m)])
+        y = (Linv @ r[n1:].reshape(m, dd, 1))[:, :, 0]
         nu1 = cho_solve(fac, r[:n1] - Wf.T @ y.ravel(), check_finite=False)
-        y = y - W @ nu1
-        nu2 = [solve_triangular(L[x], y[x], lower=True, trans="T", check_finite=False)
-               for x in range(m)]
-        return np.concatenate([nu1, *nu2])
+        nu2 = Linv.swapaxes(1, 2) @ (y - W @ nu1)[:, :, None]
+        return np.concatenate([nu1, nu2.ravel()])
 
     def phi_apply(v: np.ndarray) -> np.ndarray:
         return (Phi @ v.reshape(st.nblocks, dd, 1)).reshape(st.nvar)
@@ -496,19 +537,24 @@ def _dual_certificate(
 
 
 def _newton_center(
-    st: _Structure, c: np.ndarray, t: float, k: np.ndarray, iters: int, newton_tol: float,
+    st: _Structure, c: np.ndarray, t: float, k: np.ndarray, iters: int, final: bool,
     max_iters: int,
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """Center at barrier weight t, starting from k.  Returns (k, iters, multipliers).
 
     In the scaled space where the barrier Hessian is the square of Phi^-1
     (``_scaling``) the step is a plain least-squares solve, which stays
-    accurate as K approaches the boundary.  ``iters`` counts Newton steps
-    across the whole path; more than ``max_iters`` raises ``SolverError``.
+    accurate as K approaches the boundary.  The path stages stop at
+    lam2 / 2 <= ``_NEWTON_TOL_PATH``, the ``final`` one at ``_NEWTON_TOL`` or
+    at the float floor of the decrement: in the quadratic region a step
+    squares lam2, so once lam2 < ``_NEWTON_FLOOR`` falls by less than 4x the
+    steps move only rounding.  ``iters`` counts Newton steps across the whole
+    path; more than ``max_iters`` raises ``SolverError``.
     """
     nblocks, dd = st.nblocks, st.dd
     cblocks = c.reshape(nblocks, dd)
-    nu = np.zeros(st.ncon)
+    newton_tol = _NEWTON_TOL if final else _NEWTON_TOL_PATH
+    nu, lam2_prev = np.zeros(st.ncon), np.inf
     for _ in range(_MAX_INNER):
         Phi = _scaling(st, k)
         # Scaled gradient: Phi g = -t Phi c - coords(P), the identity of each face.
@@ -517,8 +563,9 @@ def _newton_center(
         nu, rtil = _multipliers(st, Phi, gtil)
         delta = -(Phi @ rtil.reshape(nblocks, dd)[:, :, None])[:, :, 0]
         lam2 = float(np.dot(rtil, rtil))
-        if lam2 / 2.0 <= newton_tol:
+        if lam2 / 2.0 <= newton_tol or (final and _NEWTON_FLOOR > lam2 > lam2_prev / 4.0):
             break
+        lam2_prev = lam2
         # Backtrack to a definite point, which in the damped phase must also pass
         # Armijo.  In the quadratic region the Armijo decrease is far below the
         # float resolution of the barrier value at large t, so testing it would stall.
@@ -563,8 +610,7 @@ def _barrier_path(
     t, k, iters = _MU0, k0, 0
     while True:
         final_stage = t >= t_final
-        tol_inner = _NEWTON_TOL if final_stage else _NEWTON_TOL_PATH
-        k, iters, nu = _newton_center(st, c, t, k, iters, tol_inner, cfg.max_iters)
+        k, iters, nu = _newton_center(st, c, t, k, iters, final_stage, cfg.max_iters)
         if final_stage:
             break
         t = min(t * _MU_GROWTH, t_final)

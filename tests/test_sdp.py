@@ -27,7 +27,12 @@ from qmrand.sdp import (
     verify_dual_certificate,
 )
 
-from conftest import random_hermitian, random_qubit_two_outcome, random_state_vector
+from conftest import (
+    random_hermitian,
+    random_qubit_two_outcome,
+    random_state_vector,
+    random_unitary,
+)
 
 
 class TestSolvePrimal:
@@ -224,7 +229,29 @@ def _random_scaling(rng, st):
     return sdp._scaling(st, st.coords_of_stack(K))
 
 
+def _reference_sandwich(d, L, R):
+    """Re(U^H (L kron R^T) U) per block, U the row-major vecs of the Hermitian basis as columns."""
+    U = sdp.hermitian_basis(d).reshape(d * d, d * d).T
+    return np.stack([np.real(U.conj().T @ np.kron(Lb, Rb.T) @ U) for Lb, Rb in zip(L, R)])
+
+
 class TestNewtonSystem:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_sandwich_matches_kronecker_reference(self, rng, d):
+        st = sdp._structure(d, 2, 2)
+        L, R = (np.stack([random_hermitian(rng, d) for _ in range(st.nblocks)]) for _ in "LR")
+        # _round_primal passes (Q, Q), _round_dual (Q, P) with range(Q) inside the
+        # face range(P), and P the real identity off reduced structures
+        V = np.stack([random_unitary(rng, d) for _ in range(st.nblocks)])
+        ranks = rng.integers(1, d + 1, size=(2, st.nblocks))
+        Q, P = ((V * (np.arange(d) < r[:, None])[:, None, :]) @ V.conj().swapaxes(1, 2)
+                for r in (ranks.min(axis=0), ranks.max(axis=0)))
+        eye = np.broadcast_to(np.eye(d), (st.nblocks, d, d))
+        for left, right in ((L, L), (L, R), (Q, Q), (Q, P), (Q, eye)):
+            want = _reference_sandwich(d, left, right)
+            got = sdp._sandwich(st, left, right)
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
     @pytest.mark.parametrize("d", [5, 6])
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_structured_multipliers_match_dense(self, rng, d, m):
@@ -410,19 +437,39 @@ print(repr(solve_primal(PrimalProblem(noisy_projective(4, 0.0), unbiased_state(4
 """
 
 
-def test_face_reduced_value_does_not_depend_on_blas_threads():
-    # under depolarizing restoration the polish of this input was once accepted on
-    # one thread and refused on two, and the values differed by 2.8e-9
+_NEWTON_STEPS_NP6 = """
+from qmrand.povm import noisy_projective, unbiased_state
+from qmrand.sdp import PrimalProblem, solve_primal
+print(solve_primal(PrimalProblem(noisy_projective(6, 6e-7), unbiased_state(6))).iterations)
+"""
+
+
+def _at_one_and_two_blas_threads(script):
+    """The stdout of ``script`` in a fresh interpreter at one and at two BLAS threads."""
     src = Path(__file__).resolve().parents[1] / "src"
-    values = []
+    outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run([sys.executable, "-c", _SOLVE_NP4_EPS0], env=env,
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        values.append(float(proc.stdout))
+        outputs.append(proc.stdout)
+    return outputs
+
+
+def test_face_reduced_value_does_not_depend_on_blas_threads():
+    # under depolarizing restoration the polish of this input was once accepted on
+    # one thread and refused on two, and the values differed by 2.8e-9
+    values = [float(out) for out in _at_one_and_two_blas_threads(_SOLVE_NP4_EPS0)]
     assert abs(values[0] - values[1]) <= 1e-12
+
+
+def test_final_stage_stops_at_the_decrement_floor():
+    # near-singular optimal blocks put the decrement's float floor above the final
+    # tolerance; spinning on rounding there took 85 steps at one thread and 84 at two
+    steps = [int(out) for out in _at_one_and_two_blas_threads(_NEWTON_STEPS_NP6)]
+    assert max(steps) <= 40
 
 
 class TestAnalyticDualCertificate:
