@@ -38,9 +38,11 @@ is assembled blockwise and the outcome blocks are eliminated first, leaving a
 Schur complement of size (n-1)(d^2-1) (Fujisawa, Kojima and Nakata 1997;
 SDPT3), with the per-outcome solves batched over the outcomes; below that,
 Python call overhead dominates and A Phi is formed densely.  Each block's
-scaling Phi is one real matrix product (``_sandwich``).  The final centring
-stage stops at the float floor of the Newton decrement, so the step count
-does not depend on how the kernels round.
+scaling Phi is one real matrix product (``_sandwich``).  The line search
+reads the step's exact effect on log det K from the eigenvalues of the scaled
+step, so it factors nothing and never forms a barrier value.  The final
+centring stage stops at the float floor of the Newton decrement, so the step
+count does not depend on how the kernels round.
 
 scipy is imported inside the functions that use it, so that the closed-form
 and entropy paths, which never solve an SDP, do not pay its import time.
@@ -339,15 +341,6 @@ def _face_bases(povm: Povm) -> list | None:
 # ---------------------------------------------------------------------------
 
 
-def _chol_logdet(st: _Structure, k: np.ndarray) -> float | None:
-    """Sum over blocks of log det(K + I - P), the barrier on each face; None if any is not PD."""
-    try:
-        L = np.linalg.cholesky(st.mats(k) + st.Pi)
-    except np.linalg.LinAlgError:
-        return None
-    return 2.0 * float(np.sum(np.log(np.einsum("bii->bi", L).real)))
-
-
 @cache
 def _real_sandwich_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per d: the Hermitian basis split into its real parts, and the gather of two real forms.
@@ -399,10 +392,12 @@ def _scaling(st: _Structure, k: np.ndarray) -> np.ndarray:
 
     R = (K + I - P)^(1/2) - (I - P) is the root of K on its face and zero off
     it, so Phi maps every direction into the faces.  Phi is symmetric, and
-    ``_sandwich`` forms it as one real product per block.
+    ``_sandwich`` forms it as one real product per block.  An iterate that is
+    not positive definite on its faces raises ``SolverError``.
     """
     w, V = np.linalg.eigh(st.mats(k) + st.Pi)
-    w = np.maximum(w, 1e-300)
+    if w.min() <= 0.0:
+        raise SolverError(f"iterate is not positive definite (least eigenvalue {w.min():.3e})")
     R = (V * np.sqrt(w)[:, None, :]) @ V.conj().swapaxes(1, 2) - st.Pi
     return _sandwich(st, R, R)
 
@@ -544,12 +539,20 @@ def _newton_center(
 
     In the scaled space where the barrier Hessian is the square of Phi^-1
     (``_scaling``) the step is a plain least-squares solve, which stays
-    accurate as K approaches the boundary.  The path stages stop at
+    accurate as K approaches the boundary.  On the faces K + alpha Delta =
+    R (1 - alpha X) R with X = mats(rtil), so for the eigenvalues mu of X
+    (|mu| <= sqrt(lam2)) the step stays definite while alpha max mu < 1 and
+    moves the barrier by -alpha (lam2 + sum mu) - sum log(1 - alpha mu)
+    (Nesterov and Nemirovski 1994; Boyd and Vandenberghe 2004, 9.6): the
+    log det part exactly, the linear part as the Newton model's slope, since
+    late in the path t c.Delta is neither exact nor resolvable beside t c.k.
+    alpha halves from 1 until that passes Armijo.  The path stages stop at
     lam2 / 2 <= ``_NEWTON_TOL_PATH``, the ``final`` one at ``_NEWTON_TOL`` or
     at the float floor of the decrement: in the quadratic region a step
     squares lam2, so once lam2 < ``_NEWTON_FLOOR`` falls by less than 4x the
     steps move only rounding.  ``iters`` counts Newton steps across the whole
-    path; more than ``max_iters`` raises ``SolverError``.
+    path; more than ``max_iters``, or a step the line search cannot shorten
+    into the cone, raises ``SolverError``.
     """
     nblocks, dd = st.nblocks, st.dd
     cblocks = c.reshape(nblocks, dd)
@@ -561,31 +564,25 @@ def _newton_center(
         gtil = -t * (Phi @ cblocks[:, :, None])[:, :, 0] - st.eye_coords
         gtil = gtil.reshape(st.nvar)
         nu, rtil = _multipliers(st, Phi, gtil)
-        delta = -(Phi @ rtil.reshape(nblocks, dd)[:, :, None])[:, :, 0]
         lam2 = float(np.dot(rtil, rtil))
         if lam2 / 2.0 <= newton_tol or (final and _NEWTON_FLOOR > lam2 > lam2_prev / 4.0):
             break
         lam2_prev = lam2
-        # Backtrack to a definite point, which in the damped phase must also pass
-        # Armijo.  In the quadratic region the Armijo decrease is far below the
-        # float resolution of the barrier value at large t, so testing it would stall.
-        damped = lam2 > 0.25
-        if damped:
-            logdet0 = _chol_logdet(st, k)
-            if logdet0 is None:
-                raise SolverError(f"Newton iterate is not positive definite (t={t:.3e})")
-            phi0 = -t * float(np.dot(c, k.reshape(st.nvar))) - logdet0
+        # eigvalsh fails on a non-finite matrix, and no step length mends such a step.
+        mu = (np.linalg.eigvalsh(st.mats(rtil.reshape(nblocks, dd))) if np.isfinite(lam2)
+              else np.array([np.nan]))
+        # Armijo on the barrier's change, its curvature terms -a mu - log(1 - a mu) >= 0
+        # summed apart from the slope.  60 halvings suffice up to lam2 near 1e36.
         alpha = 1.0
-        for _ in range(60 if damped else 27):   # 27 halvings reach 1e-8
-            trial = k + alpha * delta
-            logdet = _chol_logdet(st, trial)
-            if logdet is not None and (not damped or phi0 - _ARMIJO * alpha * lam2
-                                       >= -t * float(np.dot(c, trial.reshape(st.nvar))) - logdet):
+        for _ in range(60):
+            if alpha * mu.max() < 1.0 and (np.sum(-alpha * mu - np.log1p(-alpha * mu))
+                                           <= (1.0 - _ARMIJO) * alpha * lam2):
                 break
             alpha *= 0.5
         else:
-            break  # no progress possible at this scale
-        k = k + alpha * delta
+            raise SolverError(f"line search found no step into the cone (t={t:.3e}, "
+                              f"newton decrement^2={lam2:.3e})")
+        k = k - alpha * (Phi @ rtil.reshape(nblocks, dd, 1))[:, :, 0]
         iters += 1
         if iters > max_iters:
             raise SolverError(f"interior-point iteration cap {max_iters} exceeded "
