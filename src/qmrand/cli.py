@@ -19,13 +19,16 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import jsonio
 from .closed_form import (
+    METHOD_SDP,
+    detect_noisy_projective,
     pguess_star_certified,
+    pguess_star_qubit_two_outcome,
     two_outcome_upper_bound,
 )
 from .decompositions import (
@@ -50,7 +53,6 @@ from .povm import (
     noisy_projective,
     unbiased_state,
 )
-from .closed_form import detect_noisy_projective, pguess_star_qubit_two_outcome
 from .sdp import (
     PrimalProblem,
     SolverConfig,
@@ -167,7 +169,7 @@ def cmd_compute(args) -> int:
             "hmin_bits": min_entropy_bits(search.value),
             "dual_value": search.solve.dual_value,
             "gap": search.solve.gap,
-            "method": "sdp",
+            "method": METHOD_SDP,
             "state": jsonio.state_to_json(search.state),
             "converged": search.converged,
             "starts": search.starts,
@@ -190,7 +192,7 @@ def cmd_compute(args) -> int:
             )
         report["pguess"] = source["pguess"]
         report["hmin_bits"] = source["hmin_bits"]
-        report["method"] = "sdp"
+        report["method"] = METHOD_SDP
     _write_text(args.output, jsonio.dumps(report))
     return EXIT_OK
 
@@ -225,14 +227,9 @@ def cmd_certify(args) -> int:
     slackness = complementary_slackness_residual(decomp, cert, state)
     report = {
         "tol": tol,
-        "primal": jsonio.decomposition_report_to_json(primal),
+        "primal": {**asdict(primal), "passed": primal.passed},
         "primal_value": primal_value,
-        "dual": {
-            "dual_value": dual.dual_value,
-            "feasible": dual.feasible,
-            "min_eig_slack": dual.min_eig_slack,
-            "max_trace_violation": dual.max_trace_violation,
-        },
+        "dual": asdict(dual),
         "gap": dual.dual_value - primal_value,
         "slackness_residual": slackness,
     }
@@ -336,17 +333,7 @@ def cmd_joint_noise(args) -> int:
         "delta": delta,
         "guess_value": jd.guess_value(),
         "single_noise_at_equal_delta": single_noise_curve(delta),
-        "constraints": {
-            "weight_sum_violation": check.weight_sum_violation,
-            "weight_negativity": check.weight_negativity,
-            "state_norm_violation": check.state_norm_violation,
-            "povm_psd_violation": check.povm_psd_violation,
-            "povm_completeness_violation": check.povm_completeness_violation,
-            "state_average_violation": check.state_average_violation,
-            "povm_marginal_violation": check.povm_marginal_violation,
-            "tol": tol,
-            "passed": check.passed,
-        },
+        "constraints": {**asdict(check), "passed": check.passed},
         "weights": jd.weights.tolist(),
         "states": [
             [jsonio.state_to_json(PureState(jd.states[i, lam])) for lam in range(jd.states.shape[1])]

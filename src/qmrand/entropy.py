@@ -99,12 +99,12 @@ def eve_ensemble_from_decomposition(state: PureState, decomp: Decomposition) -> 
     return EveEnsemble(probs / total, tuple(states), tuple(undefined))
 
 
-def _classical_table(ens: EveEnsemble, tol: float = 1e-10) -> np.ndarray | None:
+def _classical_table(ens: EveEnsemble) -> np.ndarray | None:
     """Joint table P[x, i] = p(x) <v_i| rho_x |v_i>, or None if the rho_x do not commute.
 
     {v_i} diagonalizes sum_x c_x p(x) rho_x with distinct c_x = 1 + frac(x phi),
     which separates joint eigenspaces that a degenerate average would merge.
-    They count as commuting when every V^dag rho_x V is diagonal up to ``tol``.
+    They count as commuting when every V^dag rho_x V is diagonal up to 1e-10.
     """
     pairs = ens.defined()
     if not pairs:
@@ -112,7 +112,7 @@ def _classical_table(ens: EveEnsemble, tol: float = 1e-10) -> np.ndarray | None:
     c = 1.0 + np.mod(np.arange(len(pairs)) * (np.sqrt(5.0) - 1.0) / 2.0, 1.0)
     _, V = np.linalg.eigh(sum(ck * p * r for ck, (p, r) in zip(c, pairs)))
     rotated = [V.conj().T @ r @ V for _, r in pairs]
-    if any(max_abs(R - np.diag(np.diag(R))) > tol for R in rotated):
+    if any(max_abs(R - np.diag(np.diag(R))) > 1e-10 for R in rotated):
         return None
     return np.array([p * np.maximum(np.diag(R).real, 0.0) for (p, _), R in zip(pairs, rotated)])
 

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .decompositions import Decomposition, DecompositionReport
+from .decompositions import Decomposition
 from .linalg import ValidationError, as_operator
 from .povm import Povm, PureState
 
@@ -112,13 +112,3 @@ def decomposition_from_json(data: dict) -> Decomposition:
     except (KeyError, TypeError, IndexError) as exc:
         raise ValidationError(f"malformed decomposition JSON: {exc}") from exc
     return Decomposition(K)
-
-
-def decomposition_report_to_json(report: DecompositionReport) -> dict:
-    return {
-        "max_psd_violation": report.max_psd_violation,
-        "max_proportionality_violation": report.max_proportionality_violation,
-        "max_reconstruction_violation": report.max_reconstruction_violation,
-        "tol": report.tol,
-        "passed": report.passed,
-    }

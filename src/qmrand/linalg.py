@@ -5,7 +5,7 @@ its input (Hermiticity, positive semidefiniteness, trace) so that downstream
 modules can assume well-formed operators.  All entropies are in bits: every
 logarithm in this package is base two.
 
-Default tolerances are centralized here and can be overridden per call.
+Default tolerances are centralized here.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Centralized default tolerances.  Pass explicit values to override per call.
+# Centralized default tolerances.
 HERMITICITY_TOL = 1e-12
 FEASIBILITY_TOL = 1e-9
-RECONSTRUCTION_TOL = 1e-9
-EIG_CLAMP = 1e-10
+EIG_CLAMP = 1e-10   # eigenvalues in [-EIG_CLAMP, 0) of a nominally PSD operator are round-off
 MAX_DIM = 32
 
 LOG2 = np.log(2.0)
@@ -85,9 +84,9 @@ class Spectrum:
         return (V * self.eigenvalues) @ V.conj().T
 
 
-def eig_hermitian(H, tol: float = HERMITICITY_TOL) -> Spectrum:
+def eig_hermitian(H) -> Spectrum:
     """Eigendecomposition with eigenvalues sorted in non-increasing order."""
-    H = require_hermitian(H, tol)
+    H = require_hermitian(H)
     w, V = np.linalg.eigh(H)
     order = np.argsort(w)[::-1]
     return Spectrum(eigenvalues=w[order], eigenvectors=V[:, order])
@@ -102,28 +101,28 @@ def is_psd(H, tol: float = FEASIBILITY_TOL) -> bool:
     return min_eigenvalue(H) >= -tol
 
 
-def _clamped_psd_eigenvalues(H, clamp: float = EIG_CLAMP) -> Spectrum:
+def _clamped_psd_eigenvalues(H) -> Spectrum:
     """Eigendecompose a nominally PSD operator, absorbing round-off.
 
-    Eigenvalues in ``[-clamp, 0)`` are clamped to 0; anything below ``-clamp``
-    is a genuine negativity and raises.
+    Eigenvalues in ``[-EIG_CLAMP, 0)`` are clamped to 0; anything below
+    ``-EIG_CLAMP`` is a genuine negativity and raises.
     """
     spec = eig_hermitian(H)
     w = spec.eigenvalues
-    if w[-1] < -clamp:
-        raise DomainError(f"operator is not PSD: min eigenvalue {w[-1]:.3e} < -{clamp:.1e}")
+    if w[-1] < -EIG_CLAMP:
+        raise DomainError(f"operator is not PSD: min eigenvalue {w[-1]:.3e} < -{EIG_CLAMP:.1e}")
     return Spectrum(eigenvalues=np.maximum(w, 0.0), eigenvectors=spec.eigenvectors)
 
 
-def matrix_sqrt(H, clamp: float = EIG_CLAMP) -> np.ndarray:
+def matrix_sqrt(H) -> np.ndarray:
     """Principal square root of a PSD Hermitian operator."""
-    spec = _clamped_psd_eigenvalues(H, clamp)
+    spec = _clamped_psd_eigenvalues(H)
     V = spec.eigenvectors
     S = (V * np.sqrt(spec.eigenvalues)) @ V.conj().T
     return 0.5 * (S + S.conj().T)
 
 
-def fidelity(rho, sigma, clamp: float = EIG_CLAMP) -> float:
+def fidelity(rho, sigma) -> float:
     """Quantum fidelity F(rho, sigma) = tr sqrt(sqrt(rho) sigma sqrt(rho)).
 
     Both arguments must be PSD with trace at most 1 (+1e-9); the result is
@@ -134,10 +133,10 @@ def fidelity(rho, sigma, clamp: float = EIG_CLAMP) -> float:
     for op in (rho, sigma):
         if np.real(np.trace(op)) > 1.0 + 1e-9:
             raise DomainError("fidelity expects subnormalized states (trace <= 1)")
-    sr = matrix_sqrt(rho, clamp)
+    sr = matrix_sqrt(rho)
     inner = sr @ sigma @ sr
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    if w[0] < -clamp:
+    if w[0] < -EIG_CLAMP:
         raise DomainError(f"fidelity inner operator not PSD: min eigenvalue {w[0]:.3e}")
     # Relative cutoff: eigenvalue noise of order machine epsilon would blow
     # up to sqrt(eps) under the square root.
@@ -146,11 +145,11 @@ def fidelity(rho, sigma, clamp: float = EIG_CLAMP) -> float:
     return float(np.sum(np.sqrt(w)))
 
 
-def von_neumann_entropy(rho, trace_tol: float = 1e-9) -> float:
+def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy -tr(rho log2 rho) in bits, with 0 log 0 := 0."""
     rho = require_hermitian(rho, tol=1e-10)
     tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > 1e-9:
         raise ValidationError(f"entropy expects a unit-trace state, got trace {tr!r}")
     w = _clamped_psd_eigenvalues(rho).eigenvalues
     w = w[w > 0.0]

@@ -53,16 +53,15 @@ class PureState:
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.amplitudes.imag)) <= tol)
+    def is_real(self) -> bool:
+        return bool(np.max(np.abs(self.amplitudes.imag)) <= 1e-12)
 
 
 @dataclass(frozen=True)
 class Povm:
     """Ordered POVM: >= 2 PSD elements summing to the identity."""
 
-    elements: tuple = field()
-    psd_tol: float = FEASIBILITY_TOL
+    elements: tuple
 
     def __post_init__(self):
         elems = tuple(require_hermitian(as_operator(E), tol=1e-9) for E in self.elements)
@@ -72,10 +71,10 @@ class Povm:
         if any(E.shape[0] != d for E in elems):
             raise ValidationError("all POVM elements must share one dimension")
         for k, E in enumerate(elems):
-            if not is_psd(E, self.psd_tol):
-                raise ValidationError(f"POVM element {k} is not PSD within {self.psd_tol:.1e}")
+            if not is_psd(E):
+                raise ValidationError(f"POVM element {k} is not PSD within {FEASIBILITY_TOL:.1e}")
         total = sum(elems)
-        if max_abs(total - np.eye(d)) > self.psd_tol:
+        if max_abs(total - np.eye(d)) > FEASIBILITY_TOL:
             raise ValidationError("POVM elements do not sum to the identity")
         for E in elems:
             E.setflags(write=False)

@@ -19,9 +19,9 @@ objective upper-bounds the optimum, so every reported gap is certified.
    1981, Drusvyatskiy and Wolkowicz 2017).  On the faces the problem has a
    strict interior and the optimum of the POVM as given;
 2. build the constraint data ``b``, ``c`` and the start ``k0``;
-3. follow the barrier path (``_barrier_path``: centring by ``_newton_center``,
-   one least-norm step back onto A k = b in the barrier's metric, and the
-   certificate of the multipliers);
+3. follow the barrier path (``_barrier_path``: one loop of Newton steps that
+   raises t whenever a stage is centred, one least-norm step back onto
+   A k = b in the barrier's metric, and the certificate of the multipliers);
 4. polish: ``_round_primal`` truncates each block to the rank of the optimal
    face and returns to A k = b by Gauss-Newton steps, then ``_round_dual``
    fits the dual to exact complementarity;
@@ -40,9 +40,10 @@ SDPT3), with the per-outcome solves batched over the outcomes; below that,
 Python call overhead dominates and A Phi is formed densely.  Each block's
 scaling Phi is one real matrix product (``_sandwich``).  The line search
 reads the step's exact effect on log det K from the eigenvalues of the scaled
-step, so it factors nothing and never forms a barrier value.  The final
-centring stage stops at the float floor of the Newton decrement, so the step
-count does not depend on how the kernels round.
+step, so it factors nothing and never forms a barrier value.  A stage stops
+at its tolerance or, as the barrier is self-concordant, once a step from
+lam2 < 1/16 fails to cut the squared decrement 4x: such a step moves only
+rounding, wherever the float floor of the decrement lies.
 
 scipy is imported inside the functions that use it, so that the closed-form
 and entropy paths, which never solve an SDP, do not pay its import time.
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -74,8 +75,6 @@ _MU0 = 1.0                   # barrier weight of the first centring stage
 _MU_GROWTH = 60.0
 _NEWTON_TOL = 1e-10          # squared-decrement/2 at the final barrier stage
 _NEWTON_TOL_PATH = 1e-5      # loose centering while t still grows
-_NEWTON_FLOOR = 1e-6         # below this squared decrement a final step must cut it 4x
-_MAX_INNER = 60
 _ARMIJO = 0.25
 _ROUND_STEPS = 8             # Gauss-Newton steps of the face rounding
 
@@ -531,42 +530,55 @@ def _dual_certificate(
     return DualCertificate(tuple(Y), cert.G)
 
 
-def _newton_center(
-    st: _Structure, c: np.ndarray, t: float, k: np.ndarray, iters: int, final: bool,
-    max_iters: int,
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Center at barrier weight t, starting from k.  Returns (k, iters, multipliers).
+def _barrier_path(
+    st: _Structure, povm: Povm, b: np.ndarray, c: np.ndarray, k0: np.ndarray,
+    proj: np.ndarray, cfg: SolverConfig,
+) -> tuple[np.ndarray, DualCertificate, float, float, int]:
+    """Follow the central path from k0 to t_final, then correct the drift off A k = b.
 
-    In the scaled space where the barrier Hessian is the square of Phi^-1
-    (``_scaling``) the step is a plain least-squares solve, which stays
-    accurate as K approaches the boundary.  On the faces K + alpha Delta =
-    R (1 - alpha X) R with X = mats(rtil), so for the eigenvalues mu of X
-    (|mu| <= sqrt(lam2)) the step stays definite while alpha max mu < 1 and
-    moves the barrier by -alpha (lam2 + sum mu) - sum log(1 - alpha mu)
-    (Nesterov and Nemirovski 1994; Boyd and Vandenberghe 2004, 9.6): the
-    log det part exactly, the linear part as the Newton model's slope, since
-    late in the path t c.Delta is neither exact nor resolvable beside t c.k.
-    alpha halves from 1 until that passes Armijo.  The path stages stop at
-    lam2 / 2 <= ``_NEWTON_TOL_PATH``, the ``final`` one at ``_NEWTON_TOL`` or
-    at the float floor of the decrement: in the quadratic region a step
-    squares lam2, so once lam2 < ``_NEWTON_FLOOR`` falls by less than 4x the
-    steps move only rounding.  ``iters`` counts Newton steps across the whole
-    path; more than ``max_iters``, or a step the line search cannot shorten
-    into the cone, raises ``SolverError``.
+    One loop of Newton steps on t c.k - log det K over A k = b.  In the scaled
+    space where the barrier Hessian is the square of Phi^-1 (``_scaling``) the
+    step is a plain least-squares solve, which stays accurate as K approaches
+    the boundary.  On the faces K + alpha Delta = R (1 - alpha X) R with
+    X = mats(rtil), so for the eigenvalues mu of X (|mu| <= sqrt(lam2)) the
+    step stays definite while alpha max mu < 1 and moves the barrier by
+    -alpha (lam2 + sum mu) - sum log(1 - alpha mu): the log det part exactly,
+    the linear part as the Newton model's slope, since late in the path
+    t c.Delta is neither exact nor resolvable beside t c.k.  alpha halves
+    from 1 until that passes Armijo.
+
+    A stage stops at lam2 / 2 <= ``_NEWTON_TOL_PATH``, or ``_NEWTON_TOL``
+    once t = t_final, or when a step from lam2 < 1/16 cut lam2 by less than
+    4x.  The barrier is self-concordant (Nesterov and Nemirovski 1994; Boyd
+    and Vandenberghe 2004, 9.6), so from lam < 1/4 a full step leaves
+    lam2+ <= lam2^2 / (1 - lam)^4 < lam2 / 5: a smaller cut means the steps
+    move only rounding.  Then t grows by ``_MU_GROWTH`` up to t_final, where
+    the gap bound m n d / t is a quarter of cfg.tol, and the next step reuses
+    Phi.  More than cfg.max_iters Newton steps, or a step the line search
+    cannot shorten into the cone, raises ``SolverError``.
+
+    Rounding leaves the last centre slightly off A k = b; the correction is
+    the least-norm step s onto it in the barrier's metric (``_multipliers``
+    with gtil = 0), which keeps K definite while ||Phi^-1 s|| < 1 (the Dikin
+    ellipsoid).  Returns (k, cert, value, dual_value, iterations).
     """
     nblocks, dd = st.nblocks, st.dd
-    cblocks = c.reshape(nblocks, dd)
-    newton_tol = _NEWTON_TOL if final else _NEWTON_TOL_PATH
-    nu, lam2_prev = np.zeros(st.ncon), np.inf
-    for _ in range(_MAX_INNER):
-        Phi = _scaling(st, k)
+    cblocks = c.reshape(nblocks, dd, 1)
+    t_final = st.m * st.n * st.d / (0.25 * cfg.tol)
+    t, k, iters, lam2_prev = _MU0, k0, 0, np.inf
+    Phi = _scaling(st, k)
+    while True:
         # Scaled gradient: Phi g = -t Phi c - coords(P), the identity of each face.
-        gtil = -t * (Phi @ cblocks[:, :, None])[:, :, 0] - st.eye_coords
-        gtil = gtil.reshape(st.nvar)
+        gtil = (-t * (Phi @ cblocks)[:, :, 0] - st.eye_coords).reshape(st.nvar)
         nu, rtil = _multipliers(st, Phi, gtil)
         lam2 = float(np.dot(rtil, rtil))
-        if lam2 / 2.0 <= newton_tol or (final and _NEWTON_FLOOR > lam2 > lam2_prev / 4.0):
-            break
+        final = t >= t_final
+        if (lam2 / 2.0 <= (_NEWTON_TOL if final else _NEWTON_TOL_PATH)
+                or (lam2_prev < 1.0 / 16.0 and lam2 > lam2_prev / 4.0)):
+            if final:
+                break
+            t, lam2_prev = min(t * _MU_GROWTH, t_final), np.inf
+            continue
         lam2_prev = lam2
         # eigvalsh fails on a non-finite matrix, and no step length mends such a step.
         mu = (np.linalg.eigvalsh(st.mats(rtil.reshape(nblocks, dd))) if np.isfinite(lam2)
@@ -584,36 +596,12 @@ def _newton_center(
                               f"newton decrement^2={lam2:.3e})")
         k = k - alpha * (Phi @ rtil.reshape(nblocks, dd, 1))[:, :, 0]
         iters += 1
-        if iters > max_iters:
-            raise SolverError(f"interior-point iteration cap {max_iters} exceeded "
+        if iters > cfg.max_iters:
+            raise SolverError(f"interior-point iteration cap {cfg.max_iters} exceeded "
                               f"(t={t:.3e}, newton decrement^2={lam2:.3e})")
-    return k, iters, nu
-
-
-def _barrier_path(
-    st: _Structure, povm: Povm, b: np.ndarray, c: np.ndarray, k0: np.ndarray,
-    proj: np.ndarray, cfg: SolverConfig,
-) -> tuple[np.ndarray, DualCertificate, float, float, int]:
-    """Follow the central path from k0 to t_final, then correct the drift off A k = b.
-
-    t grows geometrically until the gap bound m n d / t is a quarter of
-    cfg.tol.  Rounding leaves the last centre slightly off A k = b; the
-    correction is the least-norm step s onto it in the barrier's metric
-    (``_multipliers`` with gtil = 0), which keeps K definite while
-    ||Phi^-1 s|| < 1 (the Dikin ellipsoid).  Returns (k, cert, value,
-    dual_value, iterations).
-    """
-    t_final = st.m * st.n * st.d / (0.25 * cfg.tol)
-    t, k, iters = _MU0, k0, 0
-    while True:
-        final_stage = t >= t_final
-        k, iters, nu = _newton_center(st, c, t, k, iters, final_stage, cfg.max_iters)
-        if final_stage:
-            break
-        t = min(t * _MU_GROWTH, t_final)
-    Phi = _scaling(st, k)
+        Phi = _scaling(st, k)
     rtil = _multipliers(st, Phi, np.zeros(st.nvar), b - st.apply_A(k))[1]
-    k = k - (Phi @ rtil.reshape(st.nblocks, st.dd, 1))[:, :, 0]
+    k = k - (Phi @ rtil.reshape(nblocks, dd, 1))[:, :, 0]
     # At the central point -t c - svec(K^-1) + A^T nu = 0 on the faces, so nu / t
     # are dual multipliers.
     Y, G = st.dual(nu)
@@ -848,7 +836,6 @@ class StateSearch:
     solve: SolveResult
     starts: int
     converged: bool
-    ties: tuple = field(default_factory=tuple)
 
 
 def _state_from_params(x: np.ndarray, d: int) -> tuple[np.ndarray, PureState]:
@@ -875,8 +862,7 @@ def _search_objective(x: np.ndarray, povm: Povm, config: SolverConfig) -> tuple[
     return res.value, np.concatenate([grad.real, grad.imag])
 
 
-def minimize_over_states(povm: Povm, config: SolverConfig | None = None,
-                         value_tol: float = 1e-4, report_ties: bool = False) -> StateSearch:
+def minimize_over_states(povm: Povm, config: SolverConfig | None = None) -> StateSearch:
     """Minimize the guessing probability over pure input states.
 
     Deterministic multistart (eigenbasis-unbiased and uniform states plus
@@ -887,7 +873,7 @@ def minimize_over_states(povm: Povm, config: SolverConfig | None = None,
     the state, so the envelope theorem applies (see ``_search_objective``).
     A start whose solve fails ends there and is left out.  The returned value
     is re-solved at full precision at the best state; the result is flagged
-    not converged when only a single start reached it.
+    not converged when only a single start came within 1e-4 of it.
     """
     from scipy.optimize import minimize
 
@@ -920,6 +906,5 @@ def minimize_over_states(povm: Povm, config: SolverConfig | None = None,
     results.sort(key=lambda item: item[0])
     best_value, best_state = results[0]
     final = solve_primal(PrimalProblem(povm, best_state), cfg)
-    near = [st for val, st in results if val <= best_value + value_tol]
-    ties = tuple(st for val, st in results if val <= best_value + 1e-6) if report_ties else ()
-    return StateSearch(best_state, final.value, final, len(starts), len(near) >= 2, ties)
+    near = sum(val <= best_value + 1e-4 for val, _ in results)
+    return StateSearch(best_state, final.value, final, len(starts), near >= 2)

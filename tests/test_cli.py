@@ -407,6 +407,29 @@ def test_bad_numbers_exit_2_without_traceback(files, capsys, monkeypatch, argv, 
     assert "Traceback" not in err
 
 
+def test_report_key_order(files, capsys):
+    # the certify and joint-noise reports are built from their dataclasses; the
+    # keys and their order are part of the output
+    tmp, write = files
+    povm = write("povm.json", jsonio.povm_to_json(noisy_projective(3, 0.2)))
+    state = write("state.json", jsonio.state_to_json(unbiased_state(3)))
+    rep = json.loads(run(capsys, ["certify", povm, state, "--analytic"])[1])
+    assert list(rep) == ["tol", "primal", "primal_value", "dual", "gap", "slackness_residual",
+                         "passed"]
+    assert list(rep["primal"]) == ["max_psd_violation", "max_proportionality_violation",
+                                   "max_reconstruction_violation", "tol", "passed"]
+    assert list(rep["dual"]) == ["dual_value", "feasible", "min_eig_slack",
+                                 "max_trace_violation"]
+    rep = json.loads(run(capsys, ["joint-noise", "0.15"])[1])
+    assert list(rep) == ["epsilon", "epsilon_star", "measurement_epsilon", "delta", "guess_value",
+                         "single_noise_at_equal_delta", "constraints", "weights", "states",
+                         "povms"]
+    assert list(rep["constraints"]) == [
+        "weight_sum_violation", "weight_negativity", "state_norm_violation",
+        "povm_psd_violation", "povm_completeness_violation", "state_average_violation",
+        "povm_marginal_violation", "tol", "passed"]
+
+
 def test_deterministic_outputs(files, capsys):
     tmp, write = files
     povm = write("povm.json", jsonio.povm_to_json(noisy_projective(2, 0.4)))
