@@ -54,6 +54,7 @@ from .povm import (
     unbiased_state,
 )
 from .sdp import (
+    MAX_SDP_DIM,
     PrimalProblem,
     SolverConfig,
     build_dual_certificate_noisy_projective,
@@ -295,9 +296,10 @@ def cmd_coarse(args) -> int:
         eve_cg = coarse_grain_eve_attack(big, halves_partition(d))
         eve_cg_value = eve_cg.guess_value(psi)
     sdp_value = gap = None
-    if d <= 8:
+    if d <= MAX_SDP_DIM:
         res = solve_primal(PrimalProblem(cg_povm, psi), cfg)
         sdp_value, gap = res.value, res.gap
+    closed_cg_value = coarse_grained_attack_value(noise)
     report = {
         "d": d,
         "epsilon": eps,
@@ -305,9 +307,9 @@ def cmd_coarse(args) -> int:
         "optimal_value": optimal,
         "inflated_attack_value": inflated_value,
         "coarse_grained_attack_value": (
-            eve_cg_value if eve_cg_value is not None else coarse_grained_attack_value(noise)
+            eve_cg_value if eve_cg_value is not None else closed_cg_value
         ),
-        "closed_form_coarse_grained": coarse_grained_attack_value(noise),
+        "closed_form_coarse_grained": closed_cg_value,
         "sdp_value": sdp_value,
         "sdp_gap": gap,
     }

@@ -20,6 +20,8 @@ METHOD_THEOREM2 = "theorem2"
 METHOD_COROLLARY1 = "corollary1-bound"
 METHOD_SDP = "sdp"
 
+_DETECT_TOL = 1e-9   # tolerance of every test in the noisy projective detection
+
 
 @dataclass(frozen=True)
 class GuessReport:
@@ -34,8 +36,8 @@ class GuessReport:
     pguess: float
     hmin_bits: float
     method: str
-    optimal_state: PureState | None = None
-    relabeled: bool = False
+    optimal_state: PureState | None
+    relabeled: bool
 
     def __post_init__(self):
         if not 0.0 < self.pguess <= 1.0 + 1e-12:
@@ -128,12 +130,12 @@ def midpoint_lower_bound(povm: Povm) -> float:
     return float(1.0 - 0.5 * (w[-1] - w[0]))
 
 
-def _detect_noisy_projective_basis(povm: Povm, tol: float = 1e-9):
+def _detect_noisy_projective_basis(povm: Povm):
     """Return (eps, basis vectors) for a noisy projective POVM, else None."""
     d = povm.dim
     if povm.num_outcomes != d:
         return None
-    if max(abs(float(np.real(np.trace(E))) - 1.0) for E in povm.elements) > tol:
+    if max(abs(float(np.real(np.trace(E))) - 1.0) for E in povm.elements) > _DETECT_TOL:
         return None
     # All elements share the spectrum {A/d, eps/d x (d-1)}.
     eps_estimates = []
@@ -142,33 +144,33 @@ def _detect_noisy_projective_basis(povm: Povm, tol: float = 1e-9):
         spec = eig_hermitian(E)
         w = spec.eigenvalues
         eps = float(np.mean(w[1:]) * d) if d > 1 else 0.0
-        if not -tol <= eps <= 1.0 + tol:
+        if not -_DETECT_TOL <= eps <= 1.0 + _DETECT_TOL:
             return None
         eps_estimates.append(min(max(eps, 0.0), 1.0))
         tops.append(spec.eigenvectors[:, 0])
     eps = float(np.mean(eps_estimates))
-    if eps > 1.0 - tol:
+    if eps > 1.0 - _DETECT_TOL:
         # Maximally mixed limit: every element must be 1/d; basis arbitrary.
-        if all(np.max(np.abs(E - np.eye(d) / d)) <= tol for E in povm.elements):
+        if all(np.max(np.abs(E - np.eye(d) / d)) <= _DETECT_TOL for E in povm.elements):
             return 1.0, [np.eye(d)[:, x].astype(complex) for x in range(d)]
         return None
     for E, v in zip(povm.elements, tops):
         model = (1.0 - eps) * np.outer(v, v.conj()) + (eps / d) * np.eye(d)
-        if np.max(np.abs(E - model)) > max(tol, 1e-12):
+        if np.max(np.abs(E - model)) > _DETECT_TOL:
             return None
     basis_sum = sum(np.outer(v, v.conj()) for v in tops)
-    if np.max(np.abs(basis_sum - np.eye(d))) > max(tol * d, 1e-10):
+    if np.max(np.abs(basis_sum - np.eye(d))) > _DETECT_TOL * d:
         return None
     return eps, tops
 
 
-def detect_noisy_projective(povm: Povm, tol: float = 1e-9) -> float | None:
+def detect_noisy_projective(povm: Povm) -> float | None:
     """Return eps if the POVM is a noisy projective measurement, else None.
 
     Matches (1 - eps)|v_x><v_x| + (eps/d) 1 in any orthonormal basis {v_x},
     one basis vector per outcome.
     """
-    found = _detect_noisy_projective_basis(povm, tol)
+    found = _detect_noisy_projective_basis(povm)
     return None if found is None else found[0]
 
 

@@ -16,7 +16,7 @@ and the joint state-plus-measurement decompositions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -265,7 +265,7 @@ class BlochWitness:
     r_mu1: np.ndarray
     r_1: np.ndarray
     r_phi: np.ndarray
-    tr_m1: float = field(default=0.0)
+    tr_m1: float
 
     @property
     def guess_value(self) -> float:

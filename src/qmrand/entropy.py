@@ -9,8 +9,6 @@ the noisy projective measurement, and the state-side comparison quantities.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +17,7 @@ from .decompositions import Decomposition
 from .linalg import (
     ValidationError,
     binary_entropy,
+    check_bounds,
     matrix_sqrt,
     max_abs,
     min_entropy_bits,
@@ -145,13 +144,17 @@ def conditional_vn_entropy(ens: EveEnsemble) -> float:
     return float(h)
 
 
+# Lower bound of each checked PSecrConfig field and whether the bound itself is excluded.
+_PSECR_BOUNDS = {"tol": (0, True), "max_iters": (1, False)}
+
+
 @dataclass(frozen=True)
 class PSecrConfig:
     """Stopping rule of the non-commuting ``p_secr`` ascent.
 
     The ascent stops once its bracket is at most ``tol`` wide, or after
-    ``max_iters`` steps; ``tol`` must be a finite float > 0 and ``max_iters``
-    an int >= 1, else ``ValidationError``.  ``restarts`` and ``seed`` do
+    ``max_iters`` steps; ``linalg.check_bounds`` requires a finite float
+    ``tol`` > 0 and an int ``max_iters`` >= 1.  ``restarts`` and ``seed`` do
     nothing (the ascent starts once, from I/d) and are accepted only so that
     existing callers still construct.
     """
@@ -162,11 +165,7 @@ class PSecrConfig:
     seed: int = 11
 
     def __post_init__(self):
-        tol, iters = self.tol, self.max_iters
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol <= sys.float_info.max:
-            raise ValidationError(f"tol must be a finite float > 0, got {tol!r}")
-        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
-            raise ValidationError(f"max_iters must be a finite int >= 1, got {iters!r}")
+        check_bounds(self, _PSECR_BOUNDS)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ Default tolerances are centralized here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +35,25 @@ class DomainError(ValueError):
 
 class SolverError(RuntimeError):
     """Numerical solver failed to reach the requested accuracy."""
+
+
+def check_bounds(config, bounds: dict) -> None:
+    """Check the numeric fields of a config dataclass against a table.
+
+    ``bounds`` maps a field name to (lower bound, whether the bound itself is
+    excluded).  Each named field must be a number of its annotated kind, int
+    or float, that is finite and above its bound, else ``ValidationError``.
+    """
+    kinds = {f.name: "int" if f.type in ("int", int) else "float" for f in fields(config)}
+    for name, (low, strict) in bounds.items():
+        value, kind = getattr(config, name), kinds[name]
+        # Integer fields take ints of any size; float fields must fit a finite float.
+        if (isinstance(value, bool)
+                or not isinstance(value, numbers.Integral if kind == "int" else numbers.Real)
+                or not (kind == "int" or abs(value) <= sys.float_info.max)
+                or value < low or (strict and value == low)):
+            raise ValidationError(f"{name} must be a finite {kind} "
+                                  f"{'>' if strict else '>='} {low}, got {value!r}")
 
 
 def as_operator(entries, dim: int | None = None) -> np.ndarray:
@@ -96,9 +117,9 @@ def min_eigenvalue(H) -> float:
     return float(np.linalg.eigvalsh(require_hermitian(H))[0])
 
 
-def is_psd(H, tol: float = FEASIBILITY_TOL) -> bool:
-    """True iff the smallest eigenvalue of Hermitian ``H`` is >= -tol."""
-    return min_eigenvalue(H) >= -tol
+def is_psd(H) -> bool:
+    """True iff the smallest eigenvalue of Hermitian ``H`` is >= -FEASIBILITY_TOL."""
+    return min_eigenvalue(H) >= -FEASIBILITY_TOL
 
 
 def _clamped_psd_eigenvalues(H) -> Spectrum:

@@ -22,9 +22,11 @@ objective upper-bounds the optimum, so every reported gap is certified.
 3. follow the barrier path (``_barrier_path``: one loop of Newton steps that
    raises t whenever a stage is centred, one least-norm step back onto
    A k = b in the barrier's metric, and the certificate of the multipliers);
-4. polish: ``_round_primal`` truncates each block to the rank of the optimal
-   face and returns to A k = b by Gauss-Newton steps, then ``_round_dual``
-   fits the dual to exact complementarity;
+4. polish, with one face and one accept rule: ``_round_primal`` truncates
+   each block to the rank of the optimal face and returns to A k = b by
+   Gauss-Newton steps, ``_round_dual`` fits the dual to exact
+   complementarity on that same face, and the fit is kept only if it
+   tightens the bracket [value, dual value];
 5. verify the decomposition to 1e-8, the certificate to 1e-9 against the
    POVM as given, and the gap.
 
@@ -51,8 +53,6 @@ and entropy paths, which never solve an SDP, do not pay its import time.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cache, cached_property
 
@@ -63,6 +63,7 @@ from .linalg import (
     DomainError,
     SolverError,
     ValidationError,
+    check_bounds,
     max_abs,
     require_hermitian,
 )
@@ -87,8 +88,7 @@ _CONFIG_BOUNDS = {"tol": (0, True), "max_iters": (1, False), "multistarts": (0, 
 class SolverConfig:
     """Tunables of the interior-point solver and the state search.
 
-    Every field is checked on construction: a finite number of the annotated
-    kind (int or float) above its lower bound, else ``ValidationError``.
+    Every field is checked on construction by ``linalg.check_bounds``.
     """
 
     tol: float = 1e-6
@@ -97,16 +97,7 @@ class SolverConfig:
     seed: int = 7
 
     def __post_init__(self):
-        for f in fields(self):
-            value, (low, strict) = getattr(self, f.name), _CONFIG_BOUNDS[f.name]
-            integral = f.type in ("int", int)
-            # Integer fields take ints of any size; float fields must fit a finite float.
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral if integral else numbers.Real)
-                    or not (integral or abs(value) <= sys.float_info.max)
-                    or value < low or (strict and value == low)):
-                raise ValidationError(f"{f.name} must be a finite {f.type} "
-                                      f"{'>' if strict else '>='} {low}, got {value!r}")
+        check_bounds(self, _CONFIG_BOUNDS)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -174,8 +165,8 @@ class SolveResult:
     gap: float | None
     iterations: int
     feasibility_residual: float
-    restored: bool = False   # solved on the faces of rank-deficient elements
-    certificate: DualCertificate | None = None
+    restored: bool   # solved on the faces of rank-deficient elements
+    certificate: DualCertificate
 
 
 # ---------------------------------------------------------------------------
@@ -495,25 +486,22 @@ def _multipliers(st: _Structure, Phi: np.ndarray, gtil: np.ndarray,
     return _least_squares_multipliers(_scaled_constraints(st, Phi), gtil, r, st.gram_reg)
 
 
-def _dual_certificate(
-    st: _Structure, Y: list, G: list, proj: np.ndarray, tol: float,
-    reject_below: float = -np.inf,
-) -> DualCertificate | None:
+def _dual_certificate(st: _Structure, Y: list, G: list, proj: np.ndarray,
+                      tol: float) -> DualCertificate:
     """The dual certificate of (Y, G): shifted to feasibility on the faces, then lifted.
 
     The least uniform shift of every Y_x on its face makes the face slacks
-    P_x Z[x][j] P_x PSD; None when their least eigenvalue is below
-    ``reject_below``.  On a reduced face the lift Y_x += delta P_x +
-    lam_x (I - P_x) makes the whole slack PSD: delta = tol / 2d makes its face
-    block A definite, and lam_x is twice the largest eigenvalue of
-    C^H A^-1 C - D over j (C, D: the cross and off-face blocks), which keeps
-    an eigenvalue margin near delta / 2.  As tr M_x (I - P_x) = 0, the dual
-    value rises by at most delta d = tol / 2, while |Y| grows like 1 / delta.
+    P_x Z[x][j] P_x PSD, however far off they are: whether the result is
+    worth keeping is the caller's bracket to decide.  On a reduced face the
+    lift Y_x += delta P_x + lam_x (I - P_x) makes the whole slack PSD:
+    delta = tol / 2d makes its face block A definite, and lam_x is twice the
+    largest eigenvalue of C^H A^-1 C - D over j (C, D: the cross and
+    off-face blocks), which keeps an eigenvalue margin near delta / 2.  As
+    tr M_x (I - P_x) = 0, the dual value rises by at most delta d = tol / 2,
+    while |Y| grows like 1 / delta.
     """
     cert = DualCertificate(tuple(Y), tuple(G))
     min_slack = float(np.min(np.linalg.eigvalsh(st.on_faces(cert.slacks(proj)))))
-    if min_slack < reject_below:
-        return None
     shift = -min_slack + 1e-15 if min_slack < 0.0 else 0.0
     delta = tol / (2.0 * st.d) if st.reduced else 0.0
     Y = [Yx + (shift + delta) * P for Yx, P in zip(cert.Y, st.P[:: st.n])]
@@ -612,7 +600,7 @@ def _barrier_path(
 def _round_primal(
     st: _Structure, b: np.ndarray, c: np.ndarray, k: np.ndarray, value: float, gap: float,
     slacks: np.ndarray,
-) -> tuple[np.ndarray, float] | None:
+) -> tuple[np.ndarray, float, np.ndarray] | None:
     """Round the center onto the optimal face identified by the dual slacks.
 
     The optimal K[x][j] lives in the near-kernel of the slack Z[x][j]
@@ -621,9 +609,11 @@ def _round_primal(
     eigenvalue 1 off a face drops the eigenvalue -1 of K - (I - P).
     Gauss-Newton on that fixed-rank set restores A k = b (Absil, Mahony and
     Sepulchre 2008, ch. 8): each step is ``_multipliers`` with Phi the
-    projection X -> P X P - Q X Q onto the tangent space, Q projecting onto
+    projection X -> P X P - D X D onto the tangent space, D projecting onto
     each block's dropped eigenvectors on its face, and a truncation follows.
-    (k, value) is returned only if it verifies and does not lower the value.
+    This is the polish's one choice of face: (k, value, Q) is returned, Q
+    projecting each block onto the eigenvectors its last truncation kept,
+    only if k verifies and does not lower the value.
     """
     d = st.d
     tau = max(np.sqrt(max(gap, 0.0)), 1e-9)
@@ -633,15 +623,15 @@ def _round_primal(
     kv = k
     for step in range(_ROUND_STEPS + 1):   # each step is followed by a truncation
         w, V = np.linalg.eigh(st.mats(kv) - st.Pi)
-        on_face = drop & (w > -0.5)
+        on_face = w > -0.5
         w[drop] = 0.0
         kv = st.coords_of_stack((V * np.maximum(w, 0.0)[:, None, :]) @ V.conj().swapaxes(1, 2))
         r = b - st.apply_A(kv)
         if max_abs(r) <= 1e-13 or step == _ROUND_STEPS:
             break
-        Vq = V * on_face[:, None, :]
-        Q = Vq @ Vq.conj().swapaxes(1, 2)
-        Phi = st.S - _sandwich(st, Q, Q)
+        Vd = V * (drop & on_face)[:, None, :]
+        D = Vd @ Vd.conj().swapaxes(1, 2)
+        Phi = st.S - _sandwich(st, D, D)
         rtil = _multipliers(st, Phi, np.zeros(st.nvar), r)[1]
         kv = kv - (Phi @ rtil.reshape(st.nblocks, st.dd, 1))[:, :, 0]
     feas = max_abs(r)
@@ -649,29 +639,28 @@ def _round_primal(
     value_new = float(np.dot(c, kv.reshape(st.nvar)))
     if feas > 1e-11 or min_eig < -1e-11 or value_new < value:
         return None
-    return kv, value_new
+    Vk = V * (~drop & on_face)[:, None, :]
+    return kv, value_new, Vk @ Vk.conj().swapaxes(1, 2)
 
 
 def _round_dual(
-    st: _Structure, c: np.ndarray, k: np.ndarray, proj: np.ndarray, tol: float
-) -> DualCertificate | None:
-    """Fit (Y, G) to exact complementarity against the rounded primal k.
+    st: _Structure, c: np.ndarray, Q: np.ndarray, proj: np.ndarray, tol: float
+) -> DualCertificate:
+    """Fit (Y, G) to exact complementarity on the face that ``_round_primal`` chose.
 
-    Minimises sum ||P Z[x][j] v||^2 over the populated eigenvectors v of
-    K[x][j], P the face projector; with Q the projector onto them that is
-    ||Phi (A^T nu - c)||^2, Phi the root of X -> (P X Q + Q X P)/2, so it is
-    the Newton step's multiplier solve.  ``_dual_certificate`` shifts and
-    lifts the fit; None when it is too far off.
+    Minimises sum ||P Z[x][j] v||^2 over the vectors v in the range of Q,
+    the projectors onto the populated eigenvectors of the rounded K[x][j],
+    and P the face projector; that is ||Phi (A^T nu - c)||^2, Phi the root
+    of X -> (P X Q + Q X P)/2, so it is the Newton step's multiplier solve.
+    ``_dual_certificate`` shifts and lifts the fit, whatever its quality:
+    ``solve_primal``'s bracket is the one rule that accepts it.
     """
-    w, V = np.linalg.eigh(st.mats(k))
-    kept = w > np.maximum(w[:, -1:], 0.0) * 1e-7 + 1e-12
-    Q = (V * kept[:, None, :]) @ V.conj().swapaxes(1, 2)
     # Phi X = (1 - sqrt 2) Q X Q + (Q X P + P X Q)/sqrt 2; coords keeps the Hermitian
     # part, so the matrices of X -> Q X P and X -> P X Q agree.
     Phi = (1.0 - np.sqrt(2.0)) * _sandwich(st, Q, Q) + np.sqrt(2.0) * _sandwich(st, Q, st.P)
     gtil = -(Phi @ c.reshape(st.nblocks, st.dd, 1)).reshape(st.nvar)
     Y, G = st.dual(_multipliers(st, Phi, gtil)[0])
-    return _dual_certificate(st, Y, G, proj, tol, reject_below=-1e-6)
+    return _dual_certificate(st, Y, G, proj, tol)
 
 
 def solve_primal(
@@ -712,17 +701,17 @@ def solve_primal(
 
     k, cert, value, dual_value, iters = _barrier_path(st, povm, b, c, k0, proj, cfg)
 
-    # Polish: keep the fitted dual only if it tightens the certified bracket.
+    # Polish: one face, from the rounding, and one accept rule, the bracket: the
+    # fitted dual is kept only if it tightens the certified bracket.
     if polish:
         rounded = _round_primal(st, b, c, k, value, dual_value - value,
                                 st.on_faces(cert.slacks(proj)))
         if rounded is not None:
-            k, value = rounded
-            better = _round_dual(st, c, k, proj, cfg.tol)
-            if better is not None:
-                dual_new = better.dual_value(povm)
-                if value - 1e-12 <= dual_new <= dual_value:
-                    cert, dual_value = better, dual_new
+            k, value, Q = rounded
+            better = _round_dual(st, c, Q, proj, cfg.tol)
+            dual_new = better.dual_value(povm)
+            if value - 1e-12 <= dual_new <= dual_value:
+                cert, dual_value = better, dual_new
 
     # Verify the decomposition and the certificate, and gate on the certified gap.
     gap = dual_value - value

@@ -282,7 +282,7 @@ class TestNewtonSystem:
     def test_sandwich_matches_kronecker_reference(self, rng, d):
         st = sdp._structure(d, 2, 2)
         L, R = (np.stack([random_hermitian(rng, d) for _ in range(st.nblocks)]) for _ in "LR")
-        # _round_primal passes (Q, Q), _round_dual (Q, P) with range(Q) inside the
+        # _round_primal passes (D, D), _round_dual (Q, P) with range(Q) inside the
         # face range(P), and P the real identity off reduced structures
         V = np.stack([random_unitary(rng, d) for _ in range(st.nblocks)])
         ranks = rng.integers(1, d + 1, size=(2, st.nblocks))
@@ -452,28 +452,34 @@ class TestDualMaps:
                 assert np.array_equal(Z[x, j], cert.Y[x] - cert.G[j] - (proj if x == j else 0.0))
 
 
-def _rounded_primal(povm, state):
-    """(st, c, k, proj) at the primal that a polished solve returns."""
+def _rounded_primal(monkeypatch, povm, state):
+    """(st, c, k, Q, proj) at the primal that a polished solve returns, with Q the
+    face that ``_round_primal`` chose for it."""
+    rounded = []
+    round_primal = sdp._round_primal
+    monkeypatch.setattr(sdp, "_round_primal",
+                        lambda *args: rounded.append(round_primal(*args)) or rounded[-1])
     res = solve_primal(PrimalProblem(povm, state))
+    [(k, value, Q)] = rounded
+    assert value == res.value
     d, m = povm.dim, povm.num_outcomes
     bases = sdp._face_bases(povm)
     st = sdp._structure(d, m, m) if bases is None else sdp._Structure(d, m, m, bases)
     proj = state.projector()
     c = np.zeros((m, m, st.dd))
     c[range(m), range(m)] = st.coords(proj)
-    k = st.coords_of_stack(res.decomposition.K.reshape(st.nblocks, d, d))
-    return st, c.ravel(), k, proj
+    return st, c.ravel(), k, Q, proj
 
 
-def _reference_round_dual(st, k, proj, tol):
-    """The polish fit built row by row: P Z v = d_xj P proj v for each kept eigenvector v
-    of K[x][j], P the projector onto the face of outcome x."""
+def _reference_round_dual(st, Q, proj, tol):
+    """The polish fit built row by row: P Z v = d_xj P proj v for each vector v
+    spanning range(Q[x][j]), P the projector onto the face of outcome x."""
     d, n, dd, s = st.d, st.n, st.dd, st.s
     rows, rhs = [], []
-    for blk, (Kb, P) in enumerate(zip(st.mats(k), st.P)):
+    for blk, (Qb, P) in enumerate(zip(Q, st.P)):
         x, j = divmod(blk, n)
-        w, V = np.linalg.eigh(Kb)
-        for v in V[:, w > max(w[-1], 0.0) * 1e-7 + 1e-12].T:
+        w, V = np.linalg.eigh(Qb)
+        for v in V[:, w > 0.5].T:
             # Y_x v from the group-2 rows of outcome x; -G_j v from the group-1 rows of j.
             row = np.zeros((d, st.ncon), dtype=complex)
             row[:, st.group2_start + x * dd : st.group2_start + (x + 1) * dd] = (st.B @ v).T
@@ -484,19 +490,23 @@ def _reference_round_dual(st, k, proj, tol):
     A = np.concatenate([np.vstack([r.real, r.imag]) for r in rows])
     b = np.concatenate([np.concatenate([v.real, v.imag]) for v in rhs])
     Y, G = st.dual(np.linalg.lstsq(A, b, rcond=None)[0])
-    return sdp._dual_certificate(st, Y, G, proj, tol, reject_below=-1e-6)
+    return sdp._dual_certificate(st, Y, G, proj, tol)
+
+
+# dense d = 3, structured d = 6, and two rank-deficient polish systems at d = 2
+# (face-reduced eps = 0, and eps = 0.2)
+_POLISH_CASES = [(3, 0.2), (6, 0.2), (2, 0.0), (2, 0.2)]
 
 
 class TestDualPolish:
-    # dense d = 3, structured d = 6, and two rank-deficient polish systems at d = 2
-    # (face-reduced eps = 0, and eps = 0.2)
-    @pytest.mark.parametrize("d, eps", [(3, 0.2), (6, 0.2), (2, 0.0), (2, 0.2)])
-    def test_round_dual_matches_row_reference(self, d, eps):
+    @pytest.mark.parametrize("d, eps", _POLISH_CASES)
+    def test_round_dual_matches_row_reference(self, monkeypatch, d, eps):
         tol = SolverConfig().tol
-        st, c, k, proj = _rounded_primal(noisy_projective(d, eps), unbiased_state(d))
+        st, c, _, Q, proj = _rounded_primal(monkeypatch, noisy_projective(d, eps),
+                                            unbiased_state(d))
         assert st.structured == (d == 6) and st.reduced == (eps == 0.0)
-        cert = sdp._round_dual(st, c, k, proj, tol)
-        ref = _reference_round_dual(st, k, proj, tol)
+        cert = sdp._round_dual(st, c, Q, proj, tol)
+        ref = _reference_round_dual(st, Q, proj, tol)
         assert cert is not None and ref is not None
         # on the faces: off them the lift's entries near 1 / tol amplify rounding
         faces = st.P[:: st.n]
@@ -504,13 +514,25 @@ class TestDualPolish:
                      for c in (cert, ref))
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("d, eps", _POLISH_CASES)
+    def test_rounded_face_is_the_populated_eigenspace(self, monkeypatch, d, eps):
+        # the one face of the polish: the eigenvectors the last truncation kept are
+        # those that the rounded K populates, by a relative 1e-7 rank rule
+        st, _, k, Q, _ = _rounded_primal(monkeypatch, noisy_projective(d, eps),
+                                         unbiased_state(d))
+        w, V = np.linalg.eigh(st.mats(k))
+        kept = w > np.maximum(w[:, -1:], 0.0) * 1e-7 + 1e-12
+        populated = (V * kept[:, None, :]) @ V.conj().swapaxes(1, 2)
+        assert np.max(np.abs(Q - populated)) <= 1e-9
+
     @pytest.mark.parametrize("eps", [0.0, 0.2])
     def test_rank_deficient_multipliers_are_min_norm(self, monkeypatch, eps):
-        st, c, k, proj = _rounded_primal(noisy_projective(2, eps), unbiased_state(2))
+        st, c, _, Q, proj = _rounded_primal(monkeypatch, noisy_projective(2, eps),
+                                            unbiased_state(2))
         calls = []
         monkeypatch.setattr(sdp, "_multipliers",
                             lambda st, Phi, g: calls.append((Phi, g)) or (np.zeros(st.ncon), g))
-        sdp._round_dual(st, c, k, proj, SolverConfig().tol)
+        sdp._round_dual(st, c, Q, proj, SolverConfig().tol)
         [(Phi, gtil)] = calls
         Atil = sdp._scaled_constraints(st, Phi)
         assert np.linalg.matrix_rank(Atil) < st.ncon
@@ -518,6 +540,14 @@ class TestDualPolish:
         ref = np.linalg.lstsq(Atil.T, -gtil, rcond=None)[0]
         assert np.allclose(nu, ref, rtol=0, atol=1e-10)
         assert np.allclose(rtil, gtil + Atil.T @ ref, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("draw", [12, 15, 19])
+    def test_loose_tolerance_polish_tightens_the_bracket(self, draw):
+        # while the fit was also refused at a least face slack below -1e-6, these
+        # kept the barrier's gaps of 1.5e-4 to 1.6e-4
+        pv, state = _random_problems(5, 20, (2, 5), (2, 5))[draw]
+        res = solve_primal(PrimalProblem(pv, state), SolverConfig(tol=1e-3))
+        assert -1e-12 <= res.gap <= 1e-4
 
 
 _SOLVE_NP4_EPS0 = """
