@@ -247,10 +247,12 @@ class _Structure:
         self.group2_start = (n - 1) * self.s
         self.ncon = self.group2_start + m * dd
         self.eye_coords = self.coords_of_stack(self.P)   # coords of each face's identity
-        # Multiplier solve, dense -> blockwise (ms, best of 3, one BLAS thread, 2 vCPUs):
-        # nvar 16 (d = m = 2) 0.05 -> 0.15, 81 (d = m = 3) 0.11 -> 0.19, 225
-        # (d = 5, m = 3) 0.67 -> 0.65, 256 (d = m = 4) 0.62 -> 0.57, 324 (d = 6,
-        # m = 3) 1.06 -> 0.61, 400 (d = 5, m = 4) 1.16 -> 0.55, 625 (d = m = 5) 3.27 -> 0.70.
+        # Multiplier solve per call, dense -> blockwise (microseconds, best of 30 runs,
+        # one BLAS thread, 2 vCPUs): nvar 16 (d = m = 2) 28 -> 99, 81 (d = m = 3)
+        # 57 -> 122, 225 (d = 5, m = 3) 327 -> 293, 256 (d = m = 4) 265 -> 195, 324
+        # (d = 6, m = 3) 862 -> 491, 400 (d = 5, m = 4) 846 -> 354, 625 (d = m = 5)
+        # 2605 -> 495.  Near the switch the shape decides: 225 at d = 3, m = 5 reads
+        # 186 -> 181 and 256 at d = 2, m = 8 reads 130 -> 153.
         self.structured = self.nvar >= 256
 
     @cached_property
@@ -392,6 +394,20 @@ def _scaling(st: _Structure, k: np.ndarray) -> np.ndarray:
     return _sandwich(st, R, R)
 
 
+def _cholesky_lower(S: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of symmetric ``S`` from its lower triangle, for ``dpotrs``.
+
+    The strict upper triangle keeps S's entries (``dpotrs`` reads only the
+    lower one).  A pivot that is not positive raises ``LinAlgError``.
+    """
+    from scipy.linalg.lapack import dpotrf
+
+    L, info = dpotrf(S, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+    return L
+
+
 def _least_squares_multipliers(Atil: np.ndarray, gtil: np.ndarray, r: np.ndarray | float = 0.0,
                                reg: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Solve min_nu ||Atil^T nu + gtil|| and return (nu, residual).
@@ -402,18 +418,20 @@ def _least_squares_multipliers(Atil: np.ndarray, gtil: np.ndarray, r: np.ndarray
     or the minimum-norm solution when that is singular: the Cholesky fails or
     its smallest squared pivot is below 1e-12 of its largest (a Cholesky that
     passes on a matrix singular up to rounding keeps large null-space parts).
+    The factor and the solves call LAPACK directly: on these small systems
+    scipy's ``cho_factor`` and ``cho_solve`` wrappers cost more than the flops.
     """
-    from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg.lapack import dpotrs
 
     rhs = Atil @ gtil + r
     try:
-        fac = cho_factor(Atil @ Atil.T + reg, lower=True, check_finite=False)
-        root = fac[0].diagonal()   # square roots of the pivots
+        fac = _cholesky_lower(Atil @ Atil.T + reg)
+        root = fac.diagonal()   # square roots of the pivots
         if root.min() < 1e-6 * root.max():
             raise np.linalg.LinAlgError("Gram matrix singular up to rounding")
-        nu = cho_solve(fac, -rhs, check_finite=False)
+        nu = dpotrs(fac, -rhs, lower=1)[0]
         rtil = gtil + Atil.T @ nu
-        nu = nu - cho_solve(fac, Atil @ rtil + r, check_finite=False)
+        nu = nu - dpotrs(fac, Atil @ rtil + r, lower=1)[0]
     except np.linalg.LinAlgError:
         # The least-norm z with Atil z = r is the part of -rtil that meets r.
         z = np.linalg.lstsq(Atil, r, rcond=None)[0] if np.any(r) else 0.0
@@ -442,7 +460,7 @@ def _structured_multipliers(st: _Structure, Phi: np.ndarray, gtil: np.ndarray,
     of the inverses L_x^-1, not a loop of triangular solves.  Falls back to
     the dense solve when a factor loses definiteness.
     """
-    from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg.lapack import dpotrs
 
     m, n, dd, n1, s = st.m, st.n, st.dd, st.group2_start, st.s
     tau = st.tau
@@ -455,13 +473,13 @@ def _structured_multipliers(st: _Structure, Phi: np.ndarray, gtil: np.ndarray,
         S = -(Wf.T @ Wf)
         diag = np.arange(n - 1)
         S.reshape(n - 1, s, n - 1, s)[diag, :, diag] += tauH.sum(axis=0) @ tau.T
-        fac = cho_factor(S, lower=True, check_finite=False)
+        fac = _cholesky_lower(S)
     except np.linalg.LinAlgError:
         return _least_squares_multipliers(_scaled_constraints(st, Phi), gtil, r, st.gram_reg)
 
     def solve_normal(r: np.ndarray) -> np.ndarray:
         y = (Linv @ r[n1:].reshape(m, dd, 1))[:, :, 0]
-        nu1 = cho_solve(fac, r[:n1] - Wf.T @ y.ravel(), check_finite=False)
+        nu1 = dpotrs(fac, r[:n1] - Wf.T @ y.ravel(), lower=1)[0]
         nu2 = Linv.swapaxes(1, 2) @ (y - W @ nu1)[:, :, None]
         return np.concatenate([nu1, nu2.ravel()])
 

@@ -271,6 +271,23 @@ def _random_scaling(rng, st):
     return sdp._scaling(st, st.coords_of_stack(K))
 
 
+def _fail_factor(monkeypatch, times=None):
+    """Make LAPACK's dpotrf report a non-positive pivot (info > 0) on its first ``times``
+    calls, or on every call; return the list of the shapes it is called with."""
+    import scipy.linalg.lapack
+
+    calls, dpotrf = [], scipy.linalg.lapack.dpotrf
+
+    def failing(S, **kwargs):
+        calls.append(S.shape)
+        if times is None or len(calls) <= times:
+            return S, 1
+        return dpotrf(S, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing)
+    return calls
+
+
 def _reference_sandwich(d, L, R):
     """Re(U^H (L kron R^T) U) per block, U the row-major vecs of the Hermitian basis as columns."""
     U = sdp.hermitian_basis(d).reshape(d * d, d * d).T
@@ -371,21 +388,34 @@ class TestNewtonSystem:
         assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_min_norm_fallback_meets_the_residual(self, rng, monkeypatch):
-        import scipy.linalg
-
         Atil = rng.normal(size=(6, 15))
         gtil = rng.normal(size=15)
         r = rng.normal(size=6)
         nu_chol, r_chol = sdp._least_squares_multipliers(Atil, gtil, r)
 
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("singular")
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", singular)
+        # a factor that reports info > 0 takes the min-norm lstsq solve
+        calls = _fail_factor(monkeypatch)
         nu, rtil = sdp._least_squares_multipliers(Atil, gtil, r)
+        z = np.linalg.lstsq(Atil, r, rcond=None)[0]
+        ref = np.linalg.lstsq(Atil.T, -(gtil + z), rcond=None)[0]
+        assert calls == [(6, 6)]
+        assert np.array_equal(nu, ref) and np.array_equal(rtil, gtil + Atil.T @ ref)
         assert np.allclose(Atil @ rtil, -r, rtol=0, atol=1e-12)
         assert np.allclose(nu, nu_chol, rtol=0, atol=1e-12)
         assert np.allclose(rtil, r_chol, rtol=0, atol=1e-12)
+
+    def test_failed_schur_factor_falls_back_to_dense(self, rng, monkeypatch):
+        # the Schur complement reports a non-positive pivot; the dense Gram factors
+        st = sdp._structure(5, 3, 3)
+        Phi = _random_scaling(rng, st)
+        gtil = rng.normal(size=st.nvar)
+        r = rng.normal(size=st.ncon)
+        want = sdp._least_squares_multipliers(sdp._scaled_constraints(st, Phi), gtil, r,
+                                              st.gram_reg)
+        calls = _fail_factor(monkeypatch, times=1)
+        nu, rtil = sdp._structured_multipliers(st, Phi, gtil, r)
+        assert calls == [(st.group2_start,) * 2, (st.ncon,) * 2]
+        assert np.array_equal(nu, want[0]) and np.array_equal(rtil, want[1])
 
     def test_structured_falls_back_to_dense(self, rng, monkeypatch):
         st = sdp._structure(5, 3, 3)
