@@ -93,9 +93,7 @@ def pguess_star_noisy_projective(noise: NoiseModel) -> GuessReport:
     """
     from .povm import unbiased_state
 
-    d = noise.d
-    value = (np.sqrt(noise.A) + (d - 1) * np.sqrt(noise.epsilon)) ** 2 / d**2
-    return _report(value, METHOD_THEOREM2, unbiased_state(d), False)
+    return _report(noise.pguess_star, METHOD_THEOREM2, unbiased_state(noise.d), False)
 
 
 def two_outcome_upper_bound(povm: Povm) -> GuessReport:

@@ -23,6 +23,7 @@ import numpy as np
 from .linalg import (
     DomainError,
     ValidationError,
+    hermitian_part,
     matrix_sqrt,
     max_abs,
 )
@@ -30,7 +31,6 @@ from .povm import (
     NoiseModel,
     Povm,
     PureState,
-    coarse_grain,
     depolarize,
     noisy_projective,
     unbiased_state,
@@ -108,11 +108,7 @@ def verify_decomposition(decomp: Decomposition, povm: Povm, tol: float = 1e-9) -
     if decomp.dim != povm.dim or decomp.num_outcomes != povm.num_outcomes:
         raise ValidationError("decomposition shape does not match the POVM")
     d, K = decomp.dim, decomp.K
-    KH = K.conj().swapaxes(-1, -2)
-    asym = max_abs(K - KH)
-    if asym > 1e-8:
-        raise ValidationError(f"matrix is not Hermitian: asymmetry {asym:.3e} > 1.0e-08")
-    psd = max(0.0, -float(np.min(np.linalg.eigvalsh(0.5 * (K + KH)), initial=0.0)))
+    psd = max(0.0, -float(np.min(np.linalg.eigvalsh(hermitian_part(K, 1e-8)), initial=0.0)))
     S = K.sum(axis=0)
     prop = max_abs(S - (np.real(np.trace(S, axis1=1, axis2=2)) / d)[:, None, None] * np.eye(d))
     recon = max_abs(K.sum(axis=1) - np.stack(povm.elements))

@@ -254,7 +254,7 @@ def p_secr(ens: EveEnsemble, config: PSecrConfig | None = None) -> PSecrResult:
 def vn_bound_noisy_projective(noise: NoiseModel) -> float:
     """H2(P*) + (1 - P*) log2(d - 1): the square-root dilation's H(X|E)."""
     d = noise.d
-    pstar = min(noise.trace_sqrt_element() ** 2 / d, 1.0)
+    pstar = noise.pguess_star
     extra = (1.0 - pstar) * np.log2(d - 1) if d > 2 else 0.0
     return float(binary_entropy(pstar) + extra)
 
@@ -312,9 +312,8 @@ def state_side_comparison(noise: NoiseModel) -> dict:
     d = noise.d
     lmax = 1.0 - noise.epsilon + noise.epsilon / d
     s_rho = binary_entropy(lmax) + (1.0 - lmax) * np.log2(d - 1)
-    pstar = noise.trace_sqrt_element() ** 2 / d
     return {
-        "hmin_star": min_entropy_bits(pstar),
+        "hmin_star": min_entropy_bits(noise.pguess_star),
         "state_vn_star": max(0.0, float(np.log2(d) - s_rho)),
         "state_hmax_star": max(0.0, float(np.log2(d) + np.log2(lmax))),
     }

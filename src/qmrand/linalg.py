@@ -71,17 +71,22 @@ def as_operator(entries, dim: int | None = None) -> np.ndarray:
     return H
 
 
-def require_hermitian(H, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Validate Hermiticity within ``tol`` and return the Hermitian part.
+def hermitian_part(S: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
+    """The Hermitian part of a matrix or of a stack of them (the last two axes).
 
     Averaging with the adjoint removes round-off asymmetry; asymmetry beyond
-    ``tol`` is rejected.
+    ``tol`` raises ``ValidationError``, which calls the input ``name``.
     """
-    H = as_operator(H)
-    asym = np.max(np.abs(H - H.conj().T))
+    SH = S.conj().swapaxes(-1, -2)
+    asym = max_abs(S - SH)
     if asym > tol:
-        raise ValidationError(f"matrix is not Hermitian: asymmetry {asym:.3e} > {tol:.1e}")
-    return 0.5 * (H + H.conj().T)
+        raise ValidationError(f"{name} is not Hermitian: asymmetry {asym:.3e} > {tol:.1e}")
+    return 0.5 * (S + SH)
+
+
+def require_hermitian(H, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Validate a square operator's Hermiticity within ``tol`` and return its Hermitian part."""
+    return hermitian_part(as_operator(H), tol)
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,11 @@ class NoiseModel:
         d = self.d
         return (np.sqrt(self.A) + (d - 1) * np.sqrt(self.epsilon)) / np.sqrt(d)
 
+    @property
+    def pguess_star(self) -> float:
+        """P* = (tr sqrt(M_x))^2 / d, attained at the unbiased state; at most 1 despite rounding."""
+        return min(float(self.trace_sqrt_element() ** 2 / self.d), 1.0)
+
 
 def depolarize(op, epsilon: float) -> np.ndarray:
     """Depolarizing channel (1 - eps) op + (eps / d) tr(op) 1."""

@@ -35,15 +35,17 @@ multipliers become (Y, G) only through ``_Structure.dual``, and (Y, G) become
 a certificate only through ``_dual_certificate``.  Every affine step (Newton
 step, drift correction, face rounding, dual polish) is one least-squares
 solve, ``_multipliers``, differing only in the scaling Phi, the gradient and
-the primal residual.  From m n d^2 = 256 real variables on the normal matrix
-is assembled blockwise and the outcome blocks are eliminated first, leaving a
-Schur complement of size (n-1)(d^2-1) (Fujisawa, Kojima and Nakata 1997;
-SDPT3), with the per-outcome solves batched over the outcomes; below that,
-Python call overhead dominates and A Phi is formed densely.  Each block's
-scaling Phi is one real matrix product (``_sandwich``).  The line search
-reads the step's exact effect on log det K from the eigenvalues of the scaled
-step, so it factors nothing and never forms a barrier value.  A stage stops
-at its tolerance or, as the barrier is self-concordant, once a step from
+the primal residual.  Its normal matrix is factored densely below
+m n d^2 = 256 real variables, where Python call overhead dominates, and from
+there on by eliminating the outcome blocks first, leaving a Schur complement
+of size (n-1)(d^2-1) (Fujisawa, Kojima and Nakata 1997; SDPT3) with the
+per-outcome solves batched.  Either factor feeds one corrected seminormal
+sweep (Bjorck 1987); a factor that ``_cholesky_lower`` finds singular up to
+rounding sends the solve to the one minimum-norm ``lstsq`` fallback.
+Each block's scaling Phi is one real matrix product (``_sandwich``).  The line
+search reads the step's exact effect on log det K from the eigenvalues of the
+scaled step, so it factors nothing and never forms a barrier value.  A stage
+stops at its tolerance or, as the barrier is self-concordant, once a step from
 lam2 < 1/16 fails to cut the squared decrement 4x: such a step moves only
 rounding, wherever the float floor of the decrement lies.
 
@@ -64,6 +66,7 @@ from .linalg import (
     SolverError,
     ValidationError,
     check_bounds,
+    hermitian_part,
     max_abs,
     require_hermitian,
 )
@@ -264,10 +267,12 @@ class _Structure:
     @cached_property
     def gram_reg(self) -> np.ndarray | float:
         """``reg`` on the group-2 diagonal of the dense path's (ncon, ncon) Gram matrix."""
-        from scipy.linalg import block_diag
-
-        n1 = self.group2_start
-        return block_diag(np.zeros((n1, n1)), *self.reg) if self.reduced else 0.0
+        if not self.reduced:
+            return 0.0
+        n1, outcome = self.group2_start, np.arange(self.m)
+        out = np.zeros((self.ncon, self.ncon))
+        out[n1:, n1:].reshape(self.m, self.dd, self.m, self.dd)[outcome, :, outcome] = self.reg
+        return out
 
     def apply_A(self, v: np.ndarray) -> np.ndarray:
         """A v for v of any shape holding nvar entries."""
@@ -398,46 +403,21 @@ def _cholesky_lower(S: np.ndarray) -> np.ndarray:
     """The lower Cholesky factor of symmetric ``S`` from its lower triangle, for ``dpotrs``.
 
     The strict upper triangle keeps S's entries (``dpotrs`` reads only the
-    lower one).  A pivot that is not positive raises ``LinAlgError``.
+    lower one).  ``LinAlgError`` means S is singular up to rounding: a pivot
+    is not positive, or the least pivot root is below 1e-6 of the largest (a
+    factor that passes on such a matrix keeps large null-space parts).  LAPACK
+    is called directly: on these small systems scipy's wrappers cost more than
+    the flops.
     """
     from scipy.linalg.lapack import dpotrf
 
     L, info = dpotrf(S, lower=1, clean=0)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+    root = L.diagonal()   # square roots of the pivots
+    if root.min() < 1e-6 * root.max():
+        raise np.linalg.LinAlgError("normal matrix singular up to rounding")
     return L
-
-
-def _least_squares_multipliers(Atil: np.ndarray, gtil: np.ndarray, r: np.ndarray | float = 0.0,
-                               reg: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Solve min_nu ||Atil^T nu + gtil|| and return (nu, residual).
-
-    With a primal residual ``r``, rtil = gtil + Atil^T nu also meets
-    Atil rtil = -r, so the step -Phi rtil adds r to A k.  Corrected seminormal
-    equations (Cholesky plus one refinement sweep) on Atil Atil^T + ``reg``,
-    or the minimum-norm solution when that is singular: the Cholesky fails or
-    its smallest squared pivot is below 1e-12 of its largest (a Cholesky that
-    passes on a matrix singular up to rounding keeps large null-space parts).
-    The factor and the solves call LAPACK directly: on these small systems
-    scipy's ``cho_factor`` and ``cho_solve`` wrappers cost more than the flops.
-    """
-    from scipy.linalg.lapack import dpotrs
-
-    rhs = Atil @ gtil + r
-    try:
-        fac = _cholesky_lower(Atil @ Atil.T + reg)
-        root = fac.diagonal()   # square roots of the pivots
-        if root.min() < 1e-6 * root.max():
-            raise np.linalg.LinAlgError("Gram matrix singular up to rounding")
-        nu = dpotrs(fac, -rhs, lower=1)[0]
-        rtil = gtil + Atil.T @ nu
-        nu = nu - dpotrs(fac, Atil @ rtil + r, lower=1)[0]
-    except np.linalg.LinAlgError:
-        # The least-norm z with Atil z = r is the part of -rtil that meets r.
-        z = np.linalg.lstsq(Atil, r, rcond=None)[0] if np.any(r) else 0.0
-        nu = np.linalg.lstsq(Atil.T, -(gtil + z), rcond=None)[0]
-    rtil = gtil + Atil.T @ nu
-    return nu, rtil
 
 
 def _scaled_constraints(st: _Structure, Phi: np.ndarray) -> np.ndarray:
@@ -445,11 +425,10 @@ def _scaled_constraints(st: _Structure, Phi: np.ndarray) -> np.ndarray:
     return np.matmul(st.A3.transpose(1, 0, 2), Phi).transpose(1, 0, 2).reshape(st.ncon, st.nvar)
 
 
-def _structured_multipliers(st: _Structure, Phi: np.ndarray, gtil: np.ndarray,
-                            r: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """``_least_squares_multipliers(A Phi, gtil, r)`` without forming A Phi.
+def _schur_solver(st: _Structure, Phi: np.ndarray) -> tuple:
+    """(Atil, Atil^T, N^-1) as functions for Atil = A Phi, by block elimination of N = Atil Atil^T.
 
-    The normal matrix A H A^T, H = blockdiag(Phi_b^2), has the outcome blocks
+    N = A H A^T, H = blockdiag(Phi_b^2), has the outcome blocks
     D_x = sum_j H_xj on its group-2 diagonal, tau C_j tau^T (C_j = sum_x H_xj)
     on its group-1 diagonal and tau H_xj between sub-POVM j and outcome x.
     The D_x are eliminated by Cholesky, D_x = L_x L_x^T, which leaves the
@@ -457,27 +436,28 @@ def _structured_multipliers(st: _Structure, Phi: np.ndarray, gtil: np.ndarray,
     W_x = L_x^-1 [H_xj tau^T]_j to factor.  H_xj maps into the face of x, so
     tau H_xj is the faces' row; D_x takes ``reg`` off the face.  Every
     per-outcome operation is one batched product over the (m, dd, dd) stack
-    of the inverses L_x^-1, not a loop of triangular solves.  Falls back to
-    the dense solve when a factor loses definiteness.
+    of the inverses L_x^-1, not a loop of triangular solves.  N is definite
+    exactly when every D_x and S are, so a failed factor raises
+    ``LinAlgError``.  S is held to ``_cholesky_lower``'s rule, the D_x only to
+    positive pivots: a D_x can be far worse conditioned than N (least pivot
+    root 1e-8 of the largest on noisy_projective(6, 1e-6)) while the
+    elimination is sound.
     """
     from scipy.linalg.lapack import dpotrs
 
     m, n, dd, n1, s = st.m, st.n, st.dd, st.group2_start, st.s
     tau = st.tau
     H = (Phi @ Phi).reshape(m, n, dd, dd)
-    try:
-        Linv = np.linalg.inv(np.linalg.cholesky(H.sum(axis=1) + st.reg))
-        tauH = tau @ H[:, : n - 1]   # (m, n-1, s, dd): the rows tau H_xj, H_xj symmetric
-        W = Linv @ tauH.reshape(m, n1, dd).swapaxes(1, 2)
-        Wf = W.reshape(m * dd, n1)
-        S = -(Wf.T @ Wf)
-        diag = np.arange(n - 1)
-        S.reshape(n - 1, s, n - 1, s)[diag, :, diag] += tauH.sum(axis=0) @ tau.T
-        fac = _cholesky_lower(S)
-    except np.linalg.LinAlgError:
-        return _least_squares_multipliers(_scaled_constraints(st, Phi), gtil, r, st.gram_reg)
+    Linv = np.linalg.inv(np.linalg.cholesky(H.sum(axis=1) + st.reg))
+    tauH = tau @ H[:, : n - 1]   # (m, n-1, s, dd): the rows tau H_xj, H_xj symmetric
+    W = Linv @ tauH.reshape(m, n1, dd).swapaxes(1, 2)
+    Wf = W.reshape(m * dd, n1)
+    S = -(Wf.T @ Wf)
+    diag = np.arange(n - 1)
+    S.reshape(n - 1, s, n - 1, s)[diag, :, diag] += tauH.sum(axis=0) @ tau.T
+    fac = _cholesky_lower(S)
 
-    def solve_normal(r: np.ndarray) -> np.ndarray:
+    def solve(r: np.ndarray) -> np.ndarray:
         y = (Linv @ r[n1:].reshape(m, dd, 1))[:, :, 0]
         nu1 = dpotrs(fac, r[:n1] - Wf.T @ y.ravel(), lower=1)[0]
         nu2 = Linv.swapaxes(1, 2) @ (y - W @ nu1)[:, :, None]
@@ -486,22 +466,43 @@ def _structured_multipliers(st: _Structure, Phi: np.ndarray, gtil: np.ndarray,
     def phi_apply(v: np.ndarray) -> np.ndarray:
         return (Phi @ v.reshape(st.nblocks, dd, 1)).reshape(st.nvar)
 
-    nu = solve_normal(-(st.apply_A(phi_apply(gtil)) + r))
-    rtil = gtil + phi_apply(st.apply_AT(nu))
-    nu = nu - solve_normal(st.apply_A(phi_apply(rtil)) + r)
-    rtil = gtil + phi_apply(st.apply_AT(nu))
-    return nu, rtil
+    return (lambda v: st.apply_A(phi_apply(v))), (lambda nu: phi_apply(st.apply_AT(nu))), solve
 
 
 def _multipliers(st: _Structure, Phi: np.ndarray, gtil: np.ndarray,
                  r: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """min_nu ||Phi A^T nu + gtil|| as (nu, residual), blockwise when ``st.structured``.
+    """Solve min_nu ||Atil^T nu + gtil||, Atil = A Phi, and return (nu, residual).
 
-    With gtil = 0, -Phi rtil is the step s with A s = r of least norm ||Phi^-1 s||.
+    With a primal residual ``r``, rtil = gtil + Atil^T nu also meets
+    Atil rtil = -r, so the step -Phi rtil adds r to A k; with gtil = 0 it is
+    the step s with A s = r of least norm ||Phi^-1 s||.  The normal matrix
+    N = Atil Atil^T is factored densely as the Gram matrix plus ``gram_reg``,
+    or from ``st.structured`` on by block elimination (``_schur_solver``),
+    and one sweep of the corrected seminormal equations follows (Bjorck
+    1987): a solve and one refinement.  When N is singular up to rounding
+    (``_cholesky_lower``), nu is the minimum-norm solution instead.
     """
-    if st.structured:
-        return _structured_multipliers(st, Phi, gtil, r)
-    return _least_squares_multipliers(_scaled_constraints(st, Phi), gtil, r, st.gram_reg)
+    from scipy.linalg.lapack import dpotrs
+
+    try:
+        if st.structured:
+            fwd, back, solve = _schur_solver(st, Phi)
+        else:
+            Atil = _scaled_constraints(st, Phi)
+            fac = _cholesky_lower(Atil @ Atil.T + st.gram_reg)
+            fwd, back = Atil.__matmul__, Atil.T.__matmul__
+
+            def solve(rhs: np.ndarray) -> np.ndarray:
+                return dpotrs(fac, rhs, lower=1)[0]
+    except np.linalg.LinAlgError:
+        # The least-norm z with Atil z = r is the part of -rtil that meets r.
+        Atil = _scaled_constraints(st, Phi)
+        z = np.linalg.lstsq(Atil, r, rcond=None)[0] if np.any(r) else 0.0
+        nu = np.linalg.lstsq(Atil.T, -(gtil + z), rcond=None)[0]
+        return nu, gtil + Atil.T @ nu
+    nu = solve(-(fwd(gtil) + r))
+    nu = nu - solve(fwd(gtil + back(nu)) + r)
+    return nu, gtil + back(nu)
 
 
 def _dual_certificate(st: _Structure, Y: list, G: list, proj: np.ndarray,
@@ -807,12 +808,8 @@ def verify_dual_certificate(cert: DualCertificate, state: PureState, povm: Povm,
     if (any(Y.shape[0] != povm.dim for Y in cert.Y) or len(cert.Y) != povm.num_outcomes
             or state.dim != povm.dim):
         raise ValidationError("certificate shape does not match the POVM")
-    Z = cert.slacks(state.projector())
-    ZH = Z.conj().swapaxes(-1, -2)
-    asym = float(np.max(np.abs(Z - ZH)))
-    if asym > 1e-8:
-        raise ValidationError(f"dual slack is not Hermitian: asymmetry {asym:.3e} > 1.0e-08")
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (Z + ZH))))
+    Z = hermitian_part(cert.slacks(state.projector()), 1e-8, "dual slack")
+    min_eig = float(np.min(np.linalg.eigvalsh(Z)))
     max_trace = max(abs(float(np.real(np.trace(Gj)))) for Gj in cert.G)
     feasible = (min_eig >= -tol) and (max_trace <= trace_tol)
     return DualCheck(cert.dual_value(povm), feasible, min_eig, float(max_trace))

@@ -9,6 +9,7 @@ from qmrand.linalg import (
     binary_entropy,
     eig_hermitian,
     fidelity,
+    hermitian_part,
     is_psd,
     matrix_sqrt,
     min_eigenvalue,
@@ -176,3 +177,15 @@ def test_require_hermitian_symmetrizes():
     H = np.array([[1.0, 0.5 + 1e-14j], [0.5 - 1e-14j, 2.0]])
     out = require_hermitian(H)
     assert np.max(np.abs(out - out.conj().T)) == 0.0
+
+
+def test_hermitian_part_checks_a_stack():
+    # the check of verify_decomposition and verify_dual_certificate, on (m, n, d, d) stacks
+    S = np.zeros((2, 3, 2, 2), dtype=complex)
+    S[1, 2, 0, 1] = 1e-6
+    with pytest.raises(ValidationError,
+                       match=r"^dual slack is not Hermitian: asymmetry 1\.000e-06 > 1\.0e-08$"):
+        hermitian_part(S, 1e-8, "dual slack")
+    S[1, 2, 0, 1] = 1e-9
+    out = hermitian_part(S, 1e-8)
+    assert out[1, 2, 0, 1] == out[1, 2, 1, 0] == 5e-10

@@ -138,6 +138,15 @@ class TestNoiseModel:
         with pytest.raises(DomainError):
             NoiseModel(3, 1.2)
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_pguess_star_is_the_closed_form_at_most_one(self, d):
+        # a plain float: the entropy curves read it at every grid point
+        for eps in np.linspace(0.0, 1.0, 101):
+            noise = NoiseModel(d, float(eps))
+            pstar = noise.pguess_star
+            assert type(pstar) is float and 1.0 / d - 1e-15 <= pstar <= 1.0
+            assert abs(pstar - (np.sqrt(noise.A) + (d - 1) * np.sqrt(eps)) ** 2 / d**2) <= 1e-15
+
 
 class TestBornProbabilities:
     def test_trivial_povm(self, rng):

@@ -265,27 +265,72 @@ class TestPrimalRounding:
         assert -1e-12 <= res.gap <= 1e-12
 
 
-def _random_scaling(rng, st):
+def _random_scaling(rng, st, shift=1e-3):
     X = rng.normal(size=(st.nblocks, st.d, st.d)) + 1j * rng.normal(size=(st.nblocks, st.d, st.d))
-    K = X @ X.conj().swapaxes(1, 2) + 1e-3 * np.eye(st.d)
+    K = X @ X.conj().swapaxes(1, 2) + shift * np.eye(st.d)
     return sdp._scaling(st, st.coords_of_stack(K))
 
 
-def _fail_factor(monkeypatch, times=None):
-    """Make LAPACK's dpotrf report a non-positive pivot (info > 0) on its first ``times``
-    calls, or on every call; return the list of the shapes it is called with."""
+def _singular_scaling(rng, st):
+    """A scaling with Phi A^T w = 0 for a random w, so that w^T A Phi = 0: the normal
+    matrix, dense or through its Schur complement, is singular up to rounding."""
+    Phi = _random_scaling(rng, st, shift=1.0)
+    v = st.apply_AT(rng.normal(size=st.ncon))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    Pv = np.eye(st.dd) - v[:, :, None] * v[:, None, :]
+    return Pv @ Phi @ Pv
+
+
+def _on_path(d, m, structured):
+    """A fresh structure whose multiplier solve takes the given path, whatever its nvar."""
+    st = sdp._Structure(d, m, m)
+    st.structured = structured
+    return st
+
+
+def _min_norm(st, Phi, gtil, r=0.0):
+    """The minimum-norm (nu, rtil) of min ||Atil^T nu + gtil|| with Atil rtil = -r, by lstsq."""
+    Atil = sdp._scaled_constraints(st, Phi)
+    z = np.linalg.lstsq(Atil, r, rcond=None)[0] if np.any(r) else 0.0
+    nu = np.linalg.lstsq(Atil.T, -(gtil + z), rcond=None)[0]
+    return nu, gtil + Atil.T @ nu
+
+
+def _factor_calls(monkeypatch, fail=0):
+    """Record (shape, info) of every LAPACK dpotrf call; the first ``fail`` calls report a
+    non-positive pivot (info > 0)."""
     import scipy.linalg.lapack
 
     calls, dpotrf = [], scipy.linalg.lapack.dpotrf
 
-    def failing(S, **kwargs):
-        calls.append(S.shape)
-        if times is None or len(calls) <= times:
-            return S, 1
-        return dpotrf(S, **kwargs)
+    def spy(S, **kwargs):
+        L, info = (S, 1) if len(calls) < fail else dpotrf(S, **kwargs)
+        calls.append((S.shape, info))
+        return L, info
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", spy)
     return calls
+
+
+def _assert_singular_takes_the_min_norm_solve(monkeypatch, st):
+    """On 20 draws of ``_singular_scaling`` the solve is lstsq's minimum-norm one.
+
+    dpotrf accepts the factor (the dense Gram, or the Schur complement) in 11 of
+    them, so its least pivot root, 1e-8 to 5e-7 of the largest, decides: a
+    corrected seminormal solve from such a factor keeps large null-space parts.
+    """
+    rng = np.random.default_rng(0)
+    calls = _factor_calls(monkeypatch)
+    for _ in range(20):
+        Phi = _singular_scaling(rng, st)
+        gtil = rng.normal(size=st.nvar)
+        nu, rtil = sdp._multipliers(st, Phi, gtil)
+        ref, r_ref = _min_norm(st, Phi, gtil)
+        assert np.allclose(nu, ref, rtol=0, atol=1e-10)
+        assert np.allclose(rtil, r_ref, rtol=0, atol=1e-10)
+    factored = (st.group2_start if st.structured else st.ncon,) * 2
+    assert {shape for shape, _ in calls} == {factored}
+    assert sum(info == 0 for _, info in calls) >= 5
 
 
 def _reference_sandwich(d, L, R):
@@ -362,13 +407,12 @@ class TestNewtonSystem:
     @pytest.mark.parametrize("d", [5, 6])
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_structured_multipliers_match_dense(self, rng, d, m):
-        st = sdp._structure(d, m, m)
+        st, dense = _on_path(d, m, True), _on_path(d, m, False)
         Phi = _random_scaling(rng, st)
         gtil = rng.normal(size=st.nvar)
         for r in (np.zeros(st.ncon), rng.normal(size=st.ncon)):
-            nu_dense, r_dense = sdp._least_squares_multipliers(
-                sdp._scaled_constraints(st, Phi), gtil, r)
-            nu, rtil = sdp._structured_multipliers(st, Phi, gtil, r)
+            nu_dense, r_dense = sdp._multipliers(dense, Phi, gtil, r)
+            nu, rtil = sdp._multipliers(st, Phi, gtil, r)
             assert np.linalg.norm(nu - nu_dense) <= 1e-10 * np.linalg.norm(nu_dense)
             assert np.linalg.norm(rtil - r_dense) <= 1e-10 * np.linalg.norm(r_dense)
 
@@ -388,47 +432,57 @@ class TestNewtonSystem:
         assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_min_norm_fallback_meets_the_residual(self, rng, monkeypatch):
-        Atil = rng.normal(size=(6, 15))
-        gtil = rng.normal(size=15)
-        r = rng.normal(size=6)
-        nu_chol, r_chol = sdp._least_squares_multipliers(Atil, gtil, r)
+        st = sdp._structure(2, 2, 2)
+        Phi = _random_scaling(rng, st, shift=1.0)
+        gtil = rng.normal(size=st.nvar)
+        r = rng.normal(size=st.ncon)
+        nu_chol, r_chol = sdp._multipliers(st, Phi, gtil, r)
 
         # a factor that reports info > 0 takes the min-norm lstsq solve
-        calls = _fail_factor(monkeypatch)
-        nu, rtil = sdp._least_squares_multipliers(Atil, gtil, r)
-        z = np.linalg.lstsq(Atil, r, rcond=None)[0]
-        ref = np.linalg.lstsq(Atil.T, -(gtil + z), rcond=None)[0]
-        assert calls == [(6, 6)]
-        assert np.array_equal(nu, ref) and np.array_equal(rtil, gtil + Atil.T @ ref)
+        calls = _factor_calls(monkeypatch, fail=1)
+        nu, rtil = sdp._multipliers(st, Phi, gtil, r)
+        ref, r_ref = _min_norm(st, Phi, gtil, r)
+        assert calls == [((st.ncon, st.ncon), 1)]
+        assert np.array_equal(nu, ref) and np.array_equal(rtil, r_ref)
+        Atil = sdp._scaled_constraints(st, Phi)
         assert np.allclose(Atil @ rtil, -r, rtol=0, atol=1e-12)
         assert np.allclose(nu, nu_chol, rtol=0, atol=1e-12)
         assert np.allclose(rtil, r_chol, rtol=0, atol=1e-12)
 
-    def test_failed_schur_factor_falls_back_to_dense(self, rng, monkeypatch):
-        # the Schur complement reports a non-positive pivot; the dense Gram factors
-        st = sdp._structure(5, 3, 3)
+    def test_failed_schur_factor_takes_the_min_norm_solve(self, rng, monkeypatch):
+        # the Schur complement reports a non-positive pivot: N is then singular, and
+        # the dense Gram is not factored again
+        st = _on_path(5, 3, True)
         Phi = _random_scaling(rng, st)
         gtil = rng.normal(size=st.nvar)
         r = rng.normal(size=st.ncon)
-        want = sdp._least_squares_multipliers(sdp._scaled_constraints(st, Phi), gtil, r,
-                                              st.gram_reg)
-        calls = _fail_factor(monkeypatch, times=1)
-        nu, rtil = sdp._structured_multipliers(st, Phi, gtil, r)
-        assert calls == [(st.group2_start,) * 2, (st.ncon,) * 2]
-        assert np.array_equal(nu, want[0]) and np.array_equal(rtil, want[1])
+        nu_chol, r_chol = sdp._multipliers(_on_path(5, 3, False), Phi, gtil, r)
+        calls = _factor_calls(monkeypatch, fail=1)
+        nu, rtil = sdp._multipliers(st, Phi, gtil, r)
+        assert calls == [((st.group2_start,) * 2, 1)]
+        ref, r_ref = _min_norm(st, Phi, gtil, r)
+        assert np.array_equal(nu, ref) and np.array_equal(rtil, r_ref)
+        # N is not singular here, so the min-norm solve is the dense Cholesky's answer
+        assert np.linalg.norm(nu - nu_chol) <= 1e-8 * np.linalg.norm(nu_chol)
+        assert np.linalg.norm(rtil - r_chol) <= 1e-8 * np.linalg.norm(r_chol)
 
-    def test_structured_falls_back_to_dense(self, rng, monkeypatch):
-        st = sdp._structure(5, 3, 3)
+    def test_failed_outcome_factor_takes_the_min_norm_solve(self, rng, monkeypatch):
+        st = _on_path(5, 3, True)
         Phi = _random_scaling(rng, st)
         gtil = rng.normal(size=st.nvar)
-        nu_dense, r_dense = sdp._least_squares_multipliers(sdp._scaled_constraints(st, Phi), gtil)
+        nu_chol, r_chol = sdp._multipliers(_on_path(5, 3, False), Phi, gtil)
 
         def not_pd(a):
             raise np.linalg.LinAlgError("not positive definite")
 
         monkeypatch.setattr(sdp.np.linalg, "cholesky", not_pd)
-        nu, rtil = sdp._structured_multipliers(st, Phi, gtil)
-        assert np.array_equal(nu, nu_dense) and np.array_equal(rtil, r_dense)
+        calls = _factor_calls(monkeypatch)
+        nu, rtil = sdp._multipliers(st, Phi, gtil)
+        assert calls == []
+        ref, r_ref = _min_norm(st, Phi, gtil)
+        assert np.array_equal(nu, ref) and np.array_equal(rtil, r_ref)
+        assert np.linalg.norm(nu - nu_chol) <= 1e-8 * np.linalg.norm(nu_chol)
+        assert np.linalg.norm(rtil - r_chol) <= 1e-8 * np.linalg.norm(r_chol)
 
     @pytest.mark.parametrize("d, m", [(2, 2), (3, 4), (5, 3)])
     def test_affine_projection_matches_dense(self, rng, d, m):
@@ -438,18 +492,27 @@ class TestNewtonSystem:
         k = rng.normal(size=st.nvar)
         assert np.allclose(st.apply_A(k), A @ k, rtol=0, atol=1e-12)
 
-    def test_singular_gram_takes_the_min_norm_solve(self):
-        # the sixth row of Atil is a combination of the first five, so A A^T is
-        # singular up to rounding; without the pivot test 8 of these 20 draws got a wrong nu
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            Atil = rng.normal(size=(6, 20))
-            Atil[5] = rng.normal(size=5) @ Atil[:5]
-            gtil = rng.normal(size=20)
-            nu, rtil = sdp._least_squares_multipliers(Atil, gtil)
-            ref = np.linalg.lstsq(Atil.T, -gtil, rcond=None)[0]
-            assert np.allclose(nu, ref, rtol=0, atol=1e-10)
-            assert np.allclose(rtil, gtil + Atil.T @ ref, rtol=0, atol=1e-10)
+    def test_singular_gram_takes_the_min_norm_solve(self, monkeypatch):
+        _assert_singular_takes_the_min_norm_solve(monkeypatch, _on_path(3, 2, False))
+
+    def test_singular_schur_complement_takes_the_min_norm_solve(self, monkeypatch):
+        # every D_x stays definite; without the pivot rule on the Schur complement
+        # 11 of these 20 draws keep large null-space parts in nu
+        _assert_singular_takes_the_min_norm_solve(monkeypatch, _on_path(5, 3, True))
+
+    @pytest.mark.parametrize("d, m", [(2, 2), (3, 3), (5, 4), (6, 3)])
+    def test_full_rank_solves_never_take_the_min_norm_solve(self, monkeypatch, d, m):
+        # the fallback is an SVD of Atil, 953 x 4096 at d = m = 8: a singularity rule
+        # that fired on full-rank solves of the benchmark's shapes would slow each one
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("min-norm fallback taken")
+
+        assert sdp._structure(d, m, m).structured == (d >= 5)
+        rng = np.random.default_rng(d * 10 + m)
+        pv, state = Povm(tuple(random_povm(rng, d, m))), PureState(random_state(rng, d))
+        monkeypatch.setattr(sdp.np.linalg, "lstsq", no_lstsq)
+        res = solve_primal(PrimalProblem(pv, state), SolverConfig(tol=1e-6))
+        assert not res.restored and -1e-12 <= res.gap <= 1e-6
 
 
 class TestDualMaps:
@@ -559,17 +622,16 @@ class TestDualPolish:
     def test_rank_deficient_multipliers_are_min_norm(self, monkeypatch, eps):
         st, c, _, Q, proj = _rounded_primal(monkeypatch, noisy_projective(2, eps),
                                             unbiased_state(2))
-        calls = []
+        calls, multipliers = [], sdp._multipliers
         monkeypatch.setattr(sdp, "_multipliers",
                             lambda st, Phi, g: calls.append((Phi, g)) or (np.zeros(st.ncon), g))
         sdp._round_dual(st, c, Q, proj, SolverConfig().tol)
         [(Phi, gtil)] = calls
-        Atil = sdp._scaled_constraints(st, Phi)
-        assert np.linalg.matrix_rank(Atil) < st.ncon
-        nu, rtil = sdp._least_squares_multipliers(Atil, gtil)
-        ref = np.linalg.lstsq(Atil.T, -gtil, rcond=None)[0]
+        assert np.linalg.matrix_rank(sdp._scaled_constraints(st, Phi)) < st.ncon
+        nu, rtil = multipliers(st, Phi, gtil)
+        ref, r_ref = _min_norm(st, Phi, gtil)
         assert np.allclose(nu, ref, rtol=0, atol=1e-10)
-        assert np.allclose(rtil, gtil + Atil.T @ ref, rtol=0, atol=1e-10)
+        assert np.allclose(rtil, r_ref, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("draw", [12, 15, 19])
     def test_loose_tolerance_polish_tightens_the_bracket(self, draw):
