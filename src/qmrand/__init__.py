@@ -41,10 +41,8 @@ from .entropy import (
 from .linalg import (
     DomainError,
     SolverError,
-    Spectrum,
     ValidationError,
     binary_entropy,
-    eig_hermitian,
     fidelity,
     is_psd,
     matrix_sqrt,

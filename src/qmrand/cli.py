@@ -33,6 +33,7 @@ from .closed_form import (
 )
 from .decompositions import (
     EPSILON_STAR,
+    Decomposition,
     block_uniform_state,
     coarse_grain_eve_attack,
     coarse_grained_attack_value,
@@ -55,6 +56,7 @@ from .povm import (
 )
 from .sdp import (
     MAX_SDP_DIM,
+    DualCertificate,
     PrimalProblem,
     SolverConfig,
     build_dual_certificate_noisy_projective,
@@ -209,14 +211,21 @@ def cmd_certify(args) -> int:
     povm = jsonio.povm_from_json(_load_json(args.povm))
     state = jsonio.state_from_json(_load_json(args.state))
     if args.analytic:
-        eps = detect_noisy_projective(povm)
-        if eps is None or not 0.0 < eps < 1.0:
+        found = detect_noisy_projective(povm)
+        if found is None or not 0.0 < found[0].epsilon < 1.0:
             raise ValidationError(
                 "--analytic requires a noisy projective POVM with 0 < eps < 1"
             )
-        noise = NoiseModel(povm.dim, eps)
-        decomp = sqrt_decomposition_qudit(noise, state)
+        # Both witnesses are built for the computational-basis POVM at U^dag phi
+        # and rotated by U; the certificate, built at the real unbiased state,
+        # also takes the phases that make U^dag phi real.
+        noise, U = found
+        decomp = sqrt_decomposition_qudit(noise, PureState(U.conj().T @ state.amplitudes))
+        phases = decomp.realifying_phases
+        W = U if phases is None else U * phases
+        decomp = Decomposition(U @ decomp.K @ U.conj().T)
         cert = build_dual_certificate_noisy_projective(noise)
+        cert = DualCertificate(W @ np.stack(cert.Y) @ W.conj().T, W @ np.stack(cert.G) @ W.conj().T)
     else:
         if not args.decomposition:
             raise ValidationError("provide a decomposition file or --analytic")
@@ -290,26 +299,19 @@ def cmd_coarse(args) -> int:
     bus = block_uniform_state(d, alpha, alpha)
     inflated_value = inflated.guess_value(bus)
     psi = unbiased_state(d)
-    eve_cg_value = None
-    if 0.0 < eps:
-        big = sqrt_decomposition_qudit(noise, psi)
-        eve_cg = coarse_grain_eve_attack(big, halves_partition(d))
-        eve_cg_value = eve_cg.guess_value(psi)
+    eve_cg = coarse_grain_eve_attack(sqrt_decomposition_qudit(noise, psi), halves_partition(d))
     sdp_value = gap = None
     if d <= MAX_SDP_DIM:
         res = solve_primal(PrimalProblem(cg_povm, psi), cfg)
         sdp_value, gap = res.value, res.gap
-    closed_cg_value = coarse_grained_attack_value(noise)
     report = {
         "d": d,
         "epsilon": eps,
         "delta": qubit_noise.delta,
         "optimal_value": optimal,
         "inflated_attack_value": inflated_value,
-        "coarse_grained_attack_value": (
-            eve_cg_value if eve_cg_value is not None else closed_cg_value
-        ),
-        "closed_form_coarse_grained": closed_cg_value,
+        "coarse_grained_attack_value": eve_cg.guess_value(psi),
+        "closed_form_coarse_grained": coarse_grained_attack_value(noise),
         "sdp_value": sdp_value,
         "sdp_gap": gap,
     }

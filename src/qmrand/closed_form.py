@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ValidationError, eig_hermitian, matrix_sqrt, min_entropy_bits
-from .povm import NoiseModel, Povm, PureState
+from .linalg import ValidationError, matrix_sqrt, max_abs, min_entropy_bits
+from .povm import NoiseModel, Povm, PureState, unbiased_state
 
 METHOD_THEOREM1 = "theorem1"
 METHOD_THEOREM2 = "theorem2"
@@ -80,8 +80,8 @@ def pguess_star_qubit_two_outcome(povm: Povm) -> GuessReport:
     tr1 = float(np.real(np.trace(M1)))
     trsqrt = float(np.real(np.trace(matrix_sqrt(M1))))
     value = 1.0 - tr1 + 0.5 * trsqrt**2
-    spec = eig_hermitian(M1)
-    psi = PureState((spec.eigenvectors[:, 0] + spec.eigenvectors[:, 1]) / np.sqrt(2.0))
+    _, V = np.linalg.eigh(M1)
+    psi = PureState((V[:, 0] + V[:, 1]) / np.sqrt(2.0))
     return _report(value, METHOD_THEOREM1, psi, relabeled)
 
 
@@ -91,8 +91,6 @@ def pguess_star_noisy_projective(noise: NoiseModel) -> GuessReport:
     ``(tr sqrt(M1))^2 / d = (sqrt(A) + (d-1) sqrt(eps))^2 / d^2``, attained at
     the unbiased state.
     """
-    from .povm import unbiased_state
-
     return _report(noise.pguess_star, METHOD_THEOREM2, unbiased_state(noise.d), False)
 
 
@@ -109,10 +107,10 @@ def two_outcome_upper_bound(povm: Povm) -> GuessReport:
         return float(w[0] + w[-1])
 
     M1, relabeled = _ordered_two_outcome(povm, spread_key)
-    spec = eig_hermitian(M1)
-    lmax, lmin = float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
+    w, V = np.linalg.eigh(M1)
+    lmin, lmax = float(w[0]), float(w[-1])
     value = 1.0 - 0.5 * (np.sqrt(lmax) - np.sqrt(max(lmin, 0.0))) ** 2
-    psi = PureState((spec.eigenvectors[:, 0] + spec.eigenvectors[:, -1]) / np.sqrt(2.0))
+    psi = PureState((V[:, -1] + V[:, 0]) / np.sqrt(2.0))
     return _report(value, METHOD_COROLLARY1, psi, relabeled)
 
 
@@ -128,58 +126,55 @@ def midpoint_lower_bound(povm: Povm) -> float:
     return float(1.0 - 0.5 * (w[-1] - w[0]))
 
 
-def _detect_noisy_projective_basis(povm: Povm):
-    """Return (eps, basis vectors) for a noisy projective POVM, else None."""
+def detect_noisy_projective(povm: Povm) -> tuple[NoiseModel, np.ndarray] | None:
+    """Return (noise, U) if the POVM is a noisy projective measurement, else None.
+
+    Matches M_x = (1 - eps)|v_x><v_x| + (eps/d) 1 in any orthonormal basis
+    {v_x}, one basis vector per outcome.  The unitary U has U[:, x] = v_x, so
+    M_x = U N_x U^dag with N_x = ``noise.povm().elements[x]``.
+    """
     d = povm.dim
     if povm.num_outcomes != d:
         return None
     if max(abs(float(np.real(np.trace(E))) - 1.0) for E in povm.elements) > _DETECT_TOL:
         return None
-    # All elements share the spectrum {A/d, eps/d x (d-1)}.
+    # All elements share the spectrum {eps/d x (d-1), A/d}.
     eps_estimates = []
     tops = []
     for E in povm.elements:
-        spec = eig_hermitian(E)
-        w = spec.eigenvalues
-        eps = float(np.mean(w[1:]) * d) if d > 1 else 0.0
+        w, V = np.linalg.eigh(E)
+        eps = float(np.mean(w[:-1]) * d)
         if not -_DETECT_TOL <= eps <= 1.0 + _DETECT_TOL:
             return None
         eps_estimates.append(min(max(eps, 0.0), 1.0))
-        tops.append(spec.eigenvectors[:, 0])
+        tops.append(V[:, -1])
     eps = float(np.mean(eps_estimates))
+    eye = np.eye(d)
     if eps > 1.0 - _DETECT_TOL:
         # Maximally mixed limit: every element must be 1/d; basis arbitrary.
-        if all(np.max(np.abs(E - np.eye(d) / d)) <= _DETECT_TOL for E in povm.elements):
-            return 1.0, [np.eye(d)[:, x].astype(complex) for x in range(d)]
+        if all(max_abs(E - eye / d) <= _DETECT_TOL for E in povm.elements):
+            return NoiseModel(d, 1.0), eye.astype(complex)
         return None
+    U = np.column_stack(tops)
     for E, v in zip(povm.elements, tops):
-        model = (1.0 - eps) * np.outer(v, v.conj()) + (eps / d) * np.eye(d)
-        if np.max(np.abs(E - model)) > _DETECT_TOL:
+        if max_abs(E - (1.0 - eps) * np.outer(v, v.conj()) - (eps / d) * eye) > _DETECT_TOL:
             return None
-    basis_sum = sum(np.outer(v, v.conj()) for v in tops)
-    if np.max(np.abs(basis_sum - np.eye(d))) > _DETECT_TOL * d:
+    if max_abs(U @ U.conj().T - eye) > _DETECT_TOL * d:
         return None
-    return eps, tops
-
-
-def detect_noisy_projective(povm: Povm) -> float | None:
-    """Return eps if the POVM is a noisy projective measurement, else None.
-
-    Matches (1 - eps)|v_x><v_x| + (eps/d) 1 in any orthonormal basis {v_x},
-    one basis vector per outcome.
-    """
-    found = _detect_noisy_projective_basis(povm)
-    return None if found is None else found[0]
+    return NoiseModel(d, eps), U
 
 
 def pguess_star_certified(povm: Povm) -> GuessReport | None:
-    """Closed-form optimum when the POVM belongs to a certified class."""
+    """Closed-form optimum when the POVM belongs to a certified class.
+
+    For a noisy projective measurement in the basis U the optimum is attained
+    at U times the unbiased state.
+    """
     if povm.dim == 2 and povm.num_outcomes == 2:
         return pguess_star_qubit_two_outcome(povm)
-    found = _detect_noisy_projective_basis(povm)
-    if found is not None:
-        eps, basis = found
-        report = pguess_star_noisy_projective(NoiseModel(povm.dim, eps))
-        psi = PureState(sum(basis) / np.sqrt(povm.dim))
-        return GuessReport(report.pguess, report.hmin_bits, report.method, psi, False)
-    return None
+    found = detect_noisy_projective(povm)
+    if found is None:
+        return None
+    noise, U = found
+    psi = PureState(U.sum(axis=1) / np.sqrt(povm.dim))
+    return _report(noise.pguess_star, METHOD_THEOREM2, psi, False)

@@ -638,18 +638,6 @@ class JointReport:
         )
 
 
-def shared_noise_guess_value(epsilon: float) -> float:
-    """Closed-form guess value of the joint decomposition.
-
-    (1 + 2 (1 - eps) sqrt(eps (2 - eps))) / 2 below the threshold, 1 above.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must be in (0, 1), got {epsilon}")
-    if epsilon >= EPSILON_STAR:
-        return 1.0
-    return float(0.5 * (1.0 + 2.0 * (1.0 - epsilon) * np.sqrt(epsilon * (2.0 - epsilon))))
-
-
 def joint_noise_decomposition(epsilon: float) -> JointDecomposition:
     """Eve's explicit attack when the qubit state and measurement share noise.
 

@@ -9,7 +9,7 @@ the noisy projective measurement, and the state-side comparison quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,14 +32,12 @@ from .povm import NoiseModel, PureState
 class EveEnsemble:
     """Ensemble {p(x), rho_x} of Eve's normalized conditional states.
 
-    Outcomes with p(x) = 0 leave rho_x undefined; they are listed in
-    ``undefined_outcomes`` and excluded from every entropy sum (the 0 log 0
-    convention).
+    Outcomes with p(x) = 0 are excluded from every entropy sum (the 0 log 0
+    convention); their rho_x is still a normalized placeholder.
     """
 
     probs: np.ndarray
     states: tuple
-    undefined_outcomes: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
@@ -47,8 +45,6 @@ class EveEnsemble:
             raise ValidationError("ensemble probabilities must be a distribution")
         states = tuple(require_hermitian(r, 1e-9) for r in self.states)
         for x, r in enumerate(states):
-            if x in self.undefined_outcomes:
-                continue
             if abs(float(np.real(np.trace(r))) - 1.0) > 1e-9:
                 raise ValidationError(f"conditional state {x} is not normalized")
         object.__setattr__(self, "probs", p)
@@ -63,11 +59,7 @@ class EveEnsemble:
         return self.states[0].shape[0]
 
     def defined(self):
-        return [
-            (float(p), r)
-            for x, (p, r) in enumerate(zip(self.probs, self.states))
-            if p > 0.0 and x not in self.undefined_outcomes
-        ]
+        return [(float(p), r) for p, r in zip(self.probs, self.states) if p > 0.0]
 
     def average_state(self) -> np.ndarray:
         return sum(p * r for p, r in self.defined())
@@ -77,7 +69,8 @@ def eve_ensemble_from_decomposition(state: PureState, decomp: Decomposition) -> 
     """Eve's conditional ensemble from the canonical dilation of a decomposition.
 
     p(x) = <phi| M_x |phi> and p(x) rho_x = sum_j <phi| K[x][j] |phi> |j><j|,
-    so every conditional state is diagonal in the sub-POVM label basis.
+    so every conditional state is diagonal in the sub-POVM label basis.  An
+    outcome with p(x) <= 1e-14 gets p(x) = 0 and the placeholder rho_x = I/n.
     """
     if state.dim != decomp.dim:
         raise ValidationError("state dimension does not match the decomposition")
@@ -87,15 +80,13 @@ def eve_ensemble_from_decomposition(state: PureState, decomp: Decomposition) -> 
     probs = weights.sum(axis=1)
     n = decomp.num_subpovms
     states = []
-    undefined = []
     for x in range(decomp.num_outcomes):
         if probs[x] <= 1e-14:
+            probs[x] = 0.0
             states.append(np.eye(n) / n)
-            undefined.append(x)
         else:
             states.append(np.diag(weights[x] / probs[x]).astype(complex))
-    total = probs.sum()
-    return EveEnsemble(probs / total, tuple(states), tuple(undefined))
+    return EveEnsemble(probs / probs.sum(), tuple(states))
 
 
 def _classical_table(ens: EveEnsemble) -> np.ndarray | None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -89,62 +89,28 @@ def require_hermitian(H, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return hermitian_part(as_operator(H), tol)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian operator.
-
-    ``eigenvalues`` are real and sorted in non-increasing order;
-    ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-    def reconstruct(self) -> np.ndarray:
-        """Return ``V diag(w) V†``."""
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.conj().T
-
-
-def eig_hermitian(H) -> Spectrum:
-    """Eigendecomposition with eigenvalues sorted in non-increasing order."""
-    H = require_hermitian(H)
-    w, V = np.linalg.eigh(H)
-    order = np.argsort(w)[::-1]
-    return Spectrum(eigenvalues=w[order], eigenvectors=V[:, order])
-
-
-def min_eigenvalue(H) -> float:
-    return float(np.linalg.eigvalsh(require_hermitian(H))[0])
-
-
 def is_psd(H) -> bool:
     """True iff the smallest eigenvalue of Hermitian ``H`` is >= -FEASIBILITY_TOL."""
-    return min_eigenvalue(H) >= -FEASIBILITY_TOL
+    return float(np.linalg.eigvalsh(require_hermitian(H))[0]) >= -FEASIBILITY_TOL
 
 
-def _clamped_psd_eigenvalues(H) -> Spectrum:
-    """Eigendecompose a nominally PSD operator, absorbing round-off.
+def _clamped_psd_eigh(H) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs (w, V) of a nominally PSD Hermitian operator.
 
-    Eigenvalues in ``[-EIG_CLAMP, 0)`` are clamped to 0; anything below
-    ``-EIG_CLAMP`` is a genuine negativity and raises.
+    Hermiticity is checked by ``require_hermitian``.  Eigenvalues in
+    ``[-EIG_CLAMP, 0)`` are round-off and clamped to 0; anything below
+    ``-EIG_CLAMP`` is a genuine negativity and raises ``DomainError``.
     """
-    spec = eig_hermitian(H)
-    w = spec.eigenvalues
-    if w[-1] < -EIG_CLAMP:
-        raise DomainError(f"operator is not PSD: min eigenvalue {w[-1]:.3e} < -{EIG_CLAMP:.1e}")
-    return Spectrum(eigenvalues=np.maximum(w, 0.0), eigenvectors=spec.eigenvectors)
+    w, V = np.linalg.eigh(require_hermitian(H))
+    if w[0] < -EIG_CLAMP:
+        raise DomainError(f"operator is not PSD: min eigenvalue {w[0]:.3e} < -{EIG_CLAMP:.1e}")
+    return np.maximum(w, 0.0), V
 
 
 def matrix_sqrt(H) -> np.ndarray:
     """Principal square root of a PSD Hermitian operator."""
-    spec = _clamped_psd_eigenvalues(H)
-    V = spec.eigenvectors
-    S = (V * np.sqrt(spec.eigenvalues)) @ V.conj().T
+    w, V = _clamped_psd_eigh(H)
+    S = (V * np.sqrt(w)) @ V.conj().T
     return 0.5 * (S + S.conj().T)
 
 
@@ -177,7 +143,7 @@ def von_neumann_entropy(rho) -> float:
     tr = float(np.real(np.trace(rho)))
     if abs(tr - 1.0) > 1e-9:
         raise ValidationError(f"entropy expects a unit-trace state, got trace {tr!r}")
-    w = _clamped_psd_eigenvalues(rho).eigenvalues
+    w, _ = _clamped_psd_eigh(rho)
     w = w[w > 0.0]
     return float(-np.sum(w * np.log(w)) / LOG2)
 

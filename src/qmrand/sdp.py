@@ -164,8 +164,8 @@ class DualCheck:
 class SolveResult:
     value: float
     decomposition: Decomposition
-    dual_value: float | None
-    gap: float | None
+    dual_value: float
+    gap: float
     iterations: int
     feasibility_residual: float
     restored: bool   # solved on the faces of rank-deficient elements

@@ -8,9 +8,9 @@ import pytest
 from qmrand import jsonio
 from qmrand.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from qmrand.decompositions import sqrt_decomposition_qudit, trivial_decomposition
-from qmrand.povm import NoiseModel, Povm, noisy_projective, unbiased_state
+from qmrand.povm import NoiseModel, Povm, PureState, noisy_projective, unbiased_state
 
-from conftest import random_qubit_two_outcome
+from conftest import random_qubit_two_outcome, random_unitary
 
 
 @pytest.fixture
@@ -177,6 +177,39 @@ class TestCertify:
         assert code == EXIT_OK
         rep = json.loads(out)
         assert abs(rep["dual"]["dual_value"] - 0.763391343821) < 1e-9
+
+    @staticmethod
+    def _analytic(files, capsys, elements, amplitudes):
+        tmp, write = files
+        povm = write("povm.json", jsonio.povm_to_json(Povm(tuple(elements))))
+        state = write("state.json", jsonio.state_to_json(PureState(np.asarray(amplitudes))))
+        code, out = run(capsys, ["certify", povm, state, "--analytic"])
+        return code, json.loads(out)
+
+    @pytest.mark.parametrize("case", ["swapped", "rotated", "phased"])
+    def test_analytic_any_basis_order_and_phase(self, files, capsys, case):
+        # the POVM in any basis and outcome order, at any state unbiased to that basis
+        d, eps = 3, 0.4
+        elements = list(noisy_projective(d, eps).elements)
+        psi = unbiased_state(d).amplitudes
+        if case == "swapped":
+            elements[0], elements[1] = elements[1], elements[0]
+        elif case == "rotated":
+            U = random_unitary(np.random.default_rng(0), d)
+            elements = [U @ E @ U.conj().T for E in elements]
+            psi = U @ psi
+        else:
+            psi = np.array([1.0, 1j, -1.0]) / np.sqrt(3.0)
+        code, rep = self._analytic(files, capsys, elements, psi)
+        assert code == EXIT_OK and rep["passed"]
+        assert abs(rep["gap"]) < 1e-12
+        assert abs(rep["dual"]["dual_value"] - NoiseModel(d, eps).pguess_star) < 1e-12
+        assert rep["slackness_residual"] < 1e-9
+
+    def test_analytic_biased_state_fails(self, files, capsys):
+        code, rep = self._analytic(files, capsys, noisy_projective(3, 0.4).elements,
+                                   [0.8, 0.36, 0.48])
+        assert code == EXIT_VALIDATION and not rep["passed"]
 
     def test_corrupted_decomposition(self, files, capsys):
         tmp, write = files

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmrand.closed_form import (
     detect_noisy_projective,
@@ -154,13 +156,29 @@ class TestMidpointBound:
 
 class TestDetection:
     def test_detects_computational_basis(self):
-        assert abs(detect_noisy_projective(noisy_projective(3, 0.27)) - 0.27) < 1e-9
+        assert abs(detect_noisy_projective(noisy_projective(3, 0.27))[0].epsilon - 0.27) < 1e-9
 
     def test_detects_rotated_basis(self, rng):
         U = random_unitary(rng, 3)
         pv = noisy_projective(3, 0.27)
         rotated = Povm(tuple(U @ E @ U.conj().T for E in pv.elements))
-        assert abs(detect_noisy_projective(rotated) - 0.27) < 1e-9
+        assert abs(detect_noisy_projective(rotated)[0].epsilon - 0.27) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.integers(0, 2**32 - 1))
+    def test_returns_the_basis(self, d, eps, seed):
+        # any basis, any outcome order: U^dag M_x U is the computational element
+        rng = np.random.default_rng(seed)
+        U = random_unitary(rng, d)
+        order = rng.permutation(d)
+        elements = noisy_projective(d, eps).elements
+        pv = Povm(tuple(U @ elements[x] @ U.conj().T for x in order))
+        noise, V = detect_noisy_projective(pv)
+        assert abs(noise.epsilon - eps) < 1e-9
+        assert np.max(np.abs(V.conj().T @ V - np.eye(d))) < 1e-9
+        for M, N in zip(pv.elements, noise.povm().elements):
+            assert np.max(np.abs(V.conj().T @ M @ V - N)) < 1e-9
 
     def test_rejects_non_isotropic(self):
         M1 = np.diag([0.6, 0.25, 0.15]).astype(complex)

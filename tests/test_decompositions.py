@@ -11,7 +11,6 @@ from qmrand.decompositions import (
     inflate_qubit_decomposition,
     joint_noise_decomposition,
     permutation_symmetrize,
-    shared_noise_guess_value,
     sqrt_decomposition_qubit,
     sqrt_decomposition_qudit,
     sqrt_guess_value,
@@ -23,6 +22,7 @@ from qmrand.decompositions import (
     verify_decomposition,
 )
 from qmrand.linalg import DomainError, ValidationError
+from qmrand.noise_comparison import shared_noise_lower_bound
 from qmrand.povm import (
     NoiseModel,
     Povm,
@@ -362,6 +362,15 @@ class TestCoarseGraining:
         assert abs(cg.guess_value(psi) - 0.7561552812808829) < 1e-12
         assert abs(coarse_grained_attack_value(noise) - 0.7561552812808829) < 1e-12
 
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    def test_coarse_grained_attack_at_zero_noise(self, d):
+        # the attack needs no noise: at eps = 0 it is valid and meets its closed form
+        noise = NoiseModel(d, 0.0)
+        psi = unbiased_state(d)
+        cg = coarse_grain_eve_attack(sqrt_decomposition_qudit(noise, psi), halves_partition(d))
+        assert verify_decomposition(cg, coarse_grain(noise.povm(), halves_partition(d)), 1e-9).passed
+        assert abs(cg.guess_value(psi) - coarse_grained_attack_value(noise)) < 1e-12
+
     def test_strictly_suboptimal_interior(self):
         for d in (4, 6):
             for eps in np.linspace(0.05, 0.95, 10):
@@ -413,8 +422,12 @@ class TestJointNoise:
             assert np.max(np.abs(avg - rho)) < 1e-12
 
     def test_closed_form_helper(self):
-        assert abs(shared_noise_guess_value(0.15) - 0.9477652844962414) < 1e-12
-        assert shared_noise_guess_value(0.7) == 1.0
+        # the shared-noise curve at delta = eps (2 - eps)
+        assert abs(shared_noise_lower_bound(0.15 * (2 - 0.15)) - 0.9477652844962414) < 1e-12
+        assert shared_noise_lower_bound(0.7 * (2 - 0.7)) == 1.0
+        for eps in (0.05, 0.15, 0.25, 0.3, 0.6):
+            jd = joint_noise_decomposition(eps)
+            assert abs(jd.guess_value() - shared_noise_lower_bound(eps * (2 - eps))) < 1e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -143,7 +143,8 @@ class TestEnsembleConstruction:
 
         e0 = PureState(np.array([1.0, 0.0], dtype=complex))
         ens = eve_ensemble_from_decomposition(e0, sqrt_decomposition_qudit(noise, e0))
-        assert ens.undefined_outcomes == (1,)
+        assert ens.probs[1] == 0.0 and ens.probs[0] == 1.0
+        assert [p for p, _ in ens.defined()] == [1.0]
         assert abs(conditional_vn_entropy(ens) - 0.0) < 1e-12
 
 
@@ -197,7 +198,7 @@ class TestConditionalVN:
         # conditional states are already diagonal: dephasing is a no-op
         ens, _ = sqrt_ensemble(3, 0.4)
         dephased = EveEnsemble(
-            ens.probs, tuple(np.diag(np.diag(r)) for r in ens.states), ens.undefined_outcomes
+            ens.probs, tuple(np.diag(np.diag(r)) for r in ens.states)
         )
         assert abs(conditional_vn_entropy(dephased) - conditional_vn_entropy(ens)) < 1e-12
 

@@ -7,12 +7,10 @@ from qmrand.linalg import (
     DomainError,
     ValidationError,
     binary_entropy,
-    eig_hermitian,
     fidelity,
     hermitian_part,
     is_psd,
     matrix_sqrt,
-    min_eigenvalue,
     require_hermitian,
     von_neumann_entropy,
 )
@@ -25,36 +23,6 @@ def _rng(seed):
 
 
 hermitian_seeds = st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 8))
-
-
-class TestEig:
-    def test_identity(self):
-        spec = eig_hermitian(np.eye(3))
-        assert np.allclose(spec.eigenvalues, [1.0, 1.0, 1.0])
-
-    def test_diagonal_sorted(self):
-        spec = eig_hermitian(np.diag([0.5, 0.9, 0.1]))
-        assert np.allclose(spec.eigenvalues, [0.9, 0.5, 0.1])
-
-    def test_pauli_x(self):
-        # hand 2x2 characteristic polynomial: lambda^2 - 1 = 0
-        spec = eig_hermitian(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(spec.eigenvalues, [1.0, -1.0], atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    @settings(max_examples=25, deadline=None)
-    @given(hermitian_seeds)
-    def test_reconstruction_roundtrip(self, seed_dim):
-        seed, d = seed_dim
-        H = random_hermitian(_rng(seed), d)
-        spec = eig_hermitian(H)
-        assert np.max(np.abs(spec.reconstruct() - H)) < 1e-9
-        gram = spec.eigenvectors.conj().T @ spec.eigenvectors
-        assert np.max(np.abs(gram - np.eye(d))) < 1e-10
-        assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
 
 
 class TestPsd:
@@ -87,6 +55,10 @@ class TestMatrixSqrt:
         with pytest.raises(DomainError):
             matrix_sqrt(np.diag([1.0, -1e-6]))
 
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValidationError):
+            matrix_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
     @settings(max_examples=25, deadline=None)
     @given(hermitian_seeds)
     def test_square_roundtrip(self, seed_dim):
@@ -95,7 +67,7 @@ class TestMatrixSqrt:
         H = G @ G.conj().T + 1e-3 * np.eye(d)
         S = matrix_sqrt(H)
         assert np.max(np.abs(S @ S - H)) < 1e-9
-        assert min_eigenvalue(S) >= -1e-10
+        assert np.linalg.eigvalsh(S)[0] >= -1e-10
 
 
 class TestFidelity:
