@@ -68,7 +68,6 @@ from .povm import (
 )
 from .sdp import (
     DualCertificate,
-    PrimalProblem,
     SolveResult,
     SolverConfig,
     build_dual_certificate_noisy_projective,

@@ -57,7 +57,6 @@ from .povm import (
 from .sdp import (
     MAX_SDP_DIM,
     DualCertificate,
-    PrimalProblem,
     SolverConfig,
     build_dual_certificate_noisy_projective,
     complementary_slackness_residual,
@@ -155,8 +154,7 @@ def cmd_compute(args) -> int:
                 "relabeled": closed.relabeled,
             }
         )
-        if closed.optimal_state is not None:
-            report["optimal_state"] = jsonio.state_to_json(closed.optimal_state)
+        report["optimal_state"] = jsonio.state_to_json(closed.optimal_state)
     elif povm.num_outcomes == 2:
         bound = two_outcome_upper_bound(povm)
         report["upper_bound"] = {
@@ -178,7 +176,7 @@ def cmd_compute(args) -> int:
             "starts": search.starts,
         }
     if state is not None:
-        res = solve_primal(PrimalProblem(povm, state), cfg)
+        res = solve_primal(povm, state, cfg)
         report["sdp_at_state"] = {
             "pguess": res.value,
             "hmin_bits": min_entropy_bits(res.value),
@@ -230,7 +228,7 @@ def cmd_certify(args) -> int:
         if not args.decomposition:
             raise ValidationError("provide a decomposition file or --analytic")
         decomp = jsonio.decomposition_from_json(_load_json(args.decomposition))
-        cert = solve_primal(PrimalProblem(povm, state), cfg).certificate
+        cert = solve_primal(povm, state, cfg).certificate
     primal = verify_decomposition(decomp, povm, tol)
     dual = verify_dual_certificate(cert, state, povm, tol)
     primal_value = decomp.guess_value(state)
@@ -295,14 +293,14 @@ def cmd_coarse(args) -> int:
     alpha = 1.0 / np.sqrt(2.0)
     qubit_state = PureState(np.array([alpha, alpha], dtype=complex))
     qubit_decomp = sqrt_decomposition_qubit(noisy_projective(2, eps), qubit_state)
-    inflated = inflate_qubit_decomposition(noise, qubit_decomp, (alpha, alpha))
+    inflated = inflate_qubit_decomposition(noise, qubit_decomp)
     bus = block_uniform_state(d, alpha, alpha)
     inflated_value = inflated.guess_value(bus)
     psi = unbiased_state(d)
     eve_cg = coarse_grain_eve_attack(sqrt_decomposition_qudit(noise, psi), halves_partition(d))
     sdp_value = gap = None
     if d <= MAX_SDP_DIM:
-        res = solve_primal(PrimalProblem(cg_povm, psi), cfg)
+        res = solve_primal(cg_povm, psi, cfg)
         sdp_value, gap = res.value, res.gap
     report = {
         "d": d,

@@ -36,7 +36,7 @@ class GuessReport:
     pguess: float
     hmin_bits: float
     method: str
-    optimal_state: PureState | None
+    optimal_state: PureState
     relabeled: bool
 
     def __post_init__(self):
@@ -46,7 +46,7 @@ class GuessReport:
             raise ValidationError("hmin_bits must equal -log2(pguess)")
 
 
-def _report(pguess: float, method: str, state: PureState | None, relabeled: bool) -> GuessReport:
+def _report(pguess: float, method: str, state: PureState, relabeled: bool) -> GuessReport:
     pguess = float(min(pguess, 1.0))
     return GuessReport(
         pguess=pguess,

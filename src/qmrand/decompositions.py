@@ -256,7 +256,6 @@ class BlochWitness:
     z: float
     l: float
     cos_theta: float
-    h: float
     r_lambda1: np.ndarray
     r_mu1: np.ndarray
     r_1: np.ndarray
@@ -306,15 +305,14 @@ def bloch_decomposition_qubit(povm: Povm, state: PureState) -> BlochWitness:
     if z > 1e-14 and cos_theta > 1.0 - 1e-12:
         raise DomainError("state equals the POVM eigenvector: Eve guesses perfectly")
     if T < 1e-14:
-        return BlochWitness(0.0, 0.0, z, 0.0, cos_theta, 0.0, rphi, rphi, r1, rphi, tr_m1=T)
+        return BlochWitness(0.0, 0.0, z, 0.0, cos_theta, rphi, rphi, r1, rphi, tr_m1=T)
     ratio = np.sqrt((T**2 - z**2) / (T**2 - (z * cos_theta) ** 2))
     a = 0.5 * (T + z * cos_theta * ratio)
     b = 0.5 * (T - z * cos_theta * ratio)
     l = float(np.sqrt(max(2.0 * (a**2 + b**2) - z**2, 0.0)))
     r_lam = (l * rphi + z * r1) / (2.0 * a) if a > 1e-14 else rphi.copy()
     r_mu = (l * rphi - z * r1) / (2.0 * b) if b > 1e-14 else rphi.copy()
-    h = float(a * np.dot(r_lam, rphi))
-    return BlochWitness(a, b, z, l, cos_theta, h, r_lam, r_mu, r1, rphi, tr_m1=T)
+    return BlochWitness(a, b, z, l, cos_theta, r_lam, r_mu, r1, rphi, tr_m1=T)
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +451,6 @@ def symmetric_family_decomposition(noise: NoiseModel, h: float) -> Decomposition
 # ---------------------------------------------------------------------------
 
 
-def inflate_block(F: np.ndarray, half: int) -> np.ndarray:
-    """The inflation map C: entry F_ab becomes the block F_ab * identity."""
-    return np.kron(np.asarray(F, dtype=complex), np.eye(half))
-
-
 def block_uniform_state(d: int, alpha1: float, alpha2: float) -> PureState:
     """State [alpha1 |u>, alpha2 |u>] with |u> unbiased on each half."""
     if d % 2 != 0 or d < 4:
@@ -467,31 +460,22 @@ def block_uniform_state(d: int, alpha1: float, alpha2: float) -> PureState:
     return PureState(np.concatenate([alpha1 * u, alpha2 * u]).astype(complex))
 
 
-def inflate_qubit_decomposition(
-    noise: NoiseModel, qubit_decomp: Decomposition, weights: tuple[float, float]
-) -> Decomposition:
+def inflate_qubit_decomposition(noise: NoiseModel, qubit_decomp: Decomposition) -> Decomposition:
     """Inflate a qubit decomposition blockwise to the coarse-grained POVM.
 
-    ``qubit_decomp`` must decompose the qubit noisy projective measurement at
-    the same eps, built for the state (alpha1, alpha2) given in ``weights``.
-    The result decomposes the half-split coarse-graining of the d-dimensional
-    noisy projective measurement, with the qubit guess value preserved on
-    block-uniform states.
+    Each entry F_ab of a block K[x][j] becomes the block F_ab 1 of size d/2.
+    If ``qubit_decomp`` decomposes the qubit noisy projective measurement at
+    the same eps, built for the state (alpha1, alpha2), the result decomposes
+    the half-split coarse-graining of the d-dimensional noisy projective
+    measurement, with the qubit guess value preserved at the block-uniform
+    state (alpha1, alpha2).
     """
     d = noise.d
     if d % 2 != 0 or d < 4:
         raise DomainError("inflation requires even d >= 4")
     if qubit_decomp.dim != 2 or qubit_decomp.num_outcomes != 2 or qubit_decomp.num_subpovms != 2:
         raise ValidationError("expected a 2x2 qubit decomposition")
-    a1, a2 = weights
-    if abs(a1**2 + a2**2 - 1.0) > 1e-10:
-        raise ValidationError("weights must satisfy alpha1^2 + alpha2^2 = 1")
-    half = d // 2
-    K = np.empty((2, 2, d, d), dtype=complex)
-    for x in range(2):
-        for j in range(2):
-            K[x, j] = inflate_block(qubit_decomp.K[x, j], half)
-    return Decomposition(K)
+    return Decomposition(np.kron(qubit_decomp.K, np.eye(d // 2)))
 
 
 def coarse_grain_eve_attack(decomp: Decomposition, partition) -> Decomposition:

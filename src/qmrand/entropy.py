@@ -51,10 +51,6 @@ class EveEnsemble:
         object.__setattr__(self, "states", states)
 
     @property
-    def num_outcomes(self) -> int:
-        return len(self.probs)
-
-    @property
     def dim(self) -> int:
         return self.states[0].shape[0]
 
@@ -242,53 +238,19 @@ def p_secr(ens: EveEnsemble, config: PSecrConfig | None = None) -> PSecrResult:
 # ---------------------------------------------------------------------------
 
 
+def _peaked_entropy(p: float, d: int) -> float:
+    """H2(p) + (1 - p) log2(d - 1): the entropy of (p, (1 - p)/(d - 1) x (d - 1))."""
+    return float(binary_entropy(p) + (1.0 - p) * np.log2(d - 1))
+
+
 def vn_bound_noisy_projective(noise: NoiseModel) -> float:
     """H2(P*) + (1 - P*) log2(d - 1): the square-root dilation's H(X|E)."""
-    d = noise.d
-    pstar = noise.pguess_star
-    extra = (1.0 - pstar) * np.log2(d - 1) if d > 2 else 0.0
-    return float(binary_entropy(pstar) + extra)
+    return _peaked_entropy(noise.pguess_star, noise.d)
 
 
 def hmax_bound_noisy_projective(noise: NoiseModel) -> float:
     """log2(d - (d-1) eps): the max-entropy of the square-root dilation."""
     return float(np.log2(noise.A))
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    """Conditional entropies of one ensemble plus the closed-form bounds."""
-
-    hmin: float
-    h_vn: float
-    hmax: float
-    p_secr: float
-    bounds: dict
-
-    def __post_init__(self):
-        if not (self.hmin <= self.h_vn + 1e-9 and self.h_vn <= self.hmax + 1e-9):
-            raise ValidationError(
-                f"entropy ordering violated: {self.hmin}, {self.h_vn}, {self.hmax}"
-            )
-
-
-def entropy_report(
-    ens: EveEnsemble, noise: NoiseModel | None = None, config: PSecrConfig | None = None
-) -> EntropyReport:
-    hmin = conditional_min_entropy(ens)  # raises on non-commuting input before the ascent
-    secr = p_secr(ens, config)
-    bounds = {}
-    if noise is not None:
-        bounds = state_side_comparison(noise)
-        bounds["vn_bound"] = vn_bound_noisy_projective(noise)
-        bounds["hmax_bound"] = hmax_bound_noisy_projective(noise)
-    return EntropyReport(
-        hmin=hmin,
-        h_vn=conditional_vn_entropy(ens),
-        hmax=secr.hmax_bits,
-        p_secr=secr.value,
-        bounds=bounds,
-    )
 
 
 def state_side_comparison(noise: NoiseModel) -> dict:
@@ -302,7 +264,7 @@ def state_side_comparison(noise: NoiseModel) -> dict:
     """
     d = noise.d
     lmax = 1.0 - noise.epsilon + noise.epsilon / d
-    s_rho = binary_entropy(lmax) + (1.0 - lmax) * np.log2(d - 1)
+    s_rho = _peaked_entropy(lmax, d)
     return {
         "hmin_star": min_entropy_bits(noise.pguess_star),
         "state_vn_star": max(0.0, float(np.log2(d) - s_rho)),

@@ -20,6 +20,10 @@ from .povm import Povm, PureState
 
 SIGNIFICANT_DIGITS = 12
 
+# What a malformed file raises while it is read: a missing key, a wrong type or
+# length, or a count such as "abc" or Infinity that int() rejects.
+_MALFORMED = (KeyError, TypeError, IndexError, ValueError, OverflowError)
+
 
 def round_floats(obj):
     """Recursively round floats to the emitted precision."""
@@ -59,7 +63,7 @@ def matrix_from_json(data: dict) -> np.ndarray:
         M = np.array(
             [[complex(entry[0], entry[1]) for entry in row] for row in entries], dtype=complex
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except _MALFORMED as exc:
         raise ValidationError(f"malformed matrix JSON: {exc}") from exc
     return as_operator(M, dim=dim)
 
@@ -83,9 +87,10 @@ def state_to_json(state: PureState) -> dict:
 def state_from_json(data: dict) -> PureState:
     try:
         amp = np.array([complex(a[0], a[1]) for a in data["amplitudes"]], dtype=complex)
-    except (KeyError, TypeError, IndexError) as exc:
+        dim = int(data.get("dim", len(amp)))
+    except _MALFORMED as exc:
         raise ValidationError(f"malformed state JSON: {exc}") from exc
-    if "dim" in data and int(data["dim"]) != len(amp):
+    if dim != len(amp):
         raise ValidationError("state dim field disagrees with amplitude count")
     return PureState(amp)
 
@@ -109,6 +114,8 @@ def decomposition_from_json(data: dict) -> Decomposition:
         for x in range(m):
             for j in range(n):
                 K[x, j] = matrix_from_json(data["K"][x][j])
-    except (KeyError, TypeError, IndexError) as exc:
+    except ValidationError:
+        raise
+    except _MALFORMED as exc:   # a block of the wrong shape included
         raise ValidationError(f"malformed decomposition JSON: {exc}") from exc
     return Decomposition(K)

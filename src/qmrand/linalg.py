@@ -57,7 +57,7 @@ def check_bounds(config, bounds: dict) -> None:
 
 
 def as_operator(entries, dim: int | None = None) -> np.ndarray:
-    """Coerce to a square complex matrix, checking shape and size limits."""
+    """Coerce to a square complex matrix, checking shape, size limits and finiteness."""
     H = np.asarray(entries, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValidationError(f"operator must be square, got shape {H.shape}")
@@ -68,6 +68,8 @@ def as_operator(entries, dim: int | None = None) -> np.ndarray:
         raise ValidationError(f"dimension {d} exceeds supported maximum {MAX_DIM}")
     if dim is not None and d != dim:
         raise ValidationError(f"expected dimension {dim}, got {d}")
+    if not np.isfinite(H).all():
+        raise ValidationError("operator entries must be finite")
     return H
 
 

@@ -22,16 +22,6 @@ from .linalg import (
 )
 
 
-def _canonical_amplitudes(amplitudes) -> np.ndarray:
-    """Normalize the global phase: first nonzero amplitude real positive."""
-    amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    nonzero = np.nonzero(np.abs(amp) > 1e-14)[0]
-    if len(nonzero):
-        phase = amp[nonzero[0]] / abs(amp[nonzero[0]])
-        amp = amp / phase
-    return amp
-
-
 @dataclass(frozen=True)
 class PureState:
     """Unit vector in C^d with the global phase gauge fixed."""
@@ -39,7 +29,13 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = _canonical_amplitudes(self.amplitudes)
+        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        if not np.isfinite(amp).all():
+            raise ValidationError("state amplitudes must be finite")
+        # Fix the global phase: the first nonzero amplitude is real positive.
+        nonzero = np.nonzero(np.abs(amp) > 1e-14)[0]
+        if len(nonzero):
+            amp = amp / (amp[nonzero[0]] / abs(amp[nonzero[0]]))
         norm2 = float(np.sum(np.abs(amp) ** 2))
         if abs(norm2 - 1.0) > 1e-10:
             raise ValidationError(f"state is not normalized: |amplitudes|^2 = {norm2!r}")
@@ -64,7 +60,7 @@ class Povm:
     elements: tuple
 
     def __post_init__(self):
-        elems = tuple(require_hermitian(as_operator(E), tol=1e-9) for E in self.elements)
+        elems = tuple(require_hermitian(E, tol=1e-9) for E in self.elements)
         if len(elems) < 2:
             raise ValidationError("a POVM needs at least 2 elements")
         d = elems[0].shape[0]

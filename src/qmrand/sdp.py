@@ -30,7 +30,7 @@ objective upper-bounds the optimum, so every reported gap is certified.
 5. verify the decomposition to 1e-8, the certificate to 1e-9 against the
    POVM as given, and the gap.
 
-The slack Y_x - G_j - d_xj P_phi is formed only by ``DualCertificate.slacks``,
+The slack Y_x - G_j - d_xj P_phi is formed only by ``_slacks``,
 multipliers become (Y, G) only through ``_Structure.dual``, and (Y, G) become
 a certificate only through ``_dual_certificate``.  Every affine step (Newton
 step, drift correction, face rounding, dual polish) is one least-squares
@@ -116,16 +116,6 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class PrimalProblem:
-    povm: Povm
-    state: PureState
-
-    def __post_init__(self):
-        if self.state.dim != self.povm.dim:
-            raise ValidationError("state and POVM dimensions differ")
-
-
-@dataclass(frozen=True)
 class DualCertificate:
     """Dual variables {Y_x}, {G_j} with tr G_j = 0 and Y_x >= d_xj P_phi + G_j."""
 
@@ -146,10 +136,15 @@ class DualCertificate:
         every slack is PSD and every G_j is traceless.  The constructor stores
         Y and G as complex matrices, so the stack can take a complex ``proj``.
         """
-        Z = np.stack(self.Y)[:, None] - np.stack(self.G)[None, :]
-        diag = np.arange(min(len(self.Y), len(self.G)))
-        Z[diag, diag] -= proj
-        return Z
+        return _slacks(self.Y, self.G, proj)
+
+
+def _slacks(Y, G, proj: np.ndarray) -> np.ndarray:
+    """Z[x, j] = Y_x - G_j - d_xj proj for sequences of matrices Y and G."""
+    Z = np.stack(Y)[:, None] - np.stack(G)[None, :]
+    diag = np.arange(min(len(Y), len(G)))
+    Z[diag, diag] -= proj
+    return Z
 
 
 @dataclass(frozen=True)
@@ -526,8 +521,7 @@ def _dual_certificate(st: _Structure, Y: list, G: list, proj: np.ndarray,
     Y = [Yx + (shift + delta) * P for Yx, P in zip(cert.Y, st.P[:: st.n])]
     for x, (V, r) in enumerate(st.bases):
         if r < st.d:
-            Z = Y[x] - np.stack(cert.G)
-            Z[x] -= proj
+            Z = _slacks(Y, cert.G, proj)[x]
             Vf, Vo = V[:, st.d - r :], V[:, : st.d - r]
             A, C = Vf.conj().T @ Z @ Vf, Vf.conj().T @ Z @ Vo
             deficit = C.conj().swapaxes(1, 2) @ np.linalg.solve(A, C) - Vo.conj().T @ Z @ Vo
@@ -683,7 +677,7 @@ def _round_dual(
 
 
 def solve_primal(
-    problem: PrimalProblem, config: SolverConfig | None = None, polish: bool = True
+    povm: Povm, state: PureState, config: SolverConfig | None = None, polish: bool = True
 ) -> SolveResult:
     """Solve the guessing-probability SDP at a fixed state.
 
@@ -698,7 +692,8 @@ def solve_primal(
     of magnitude.
     """
     cfg = config or SolverConfig()
-    povm, state = problem.povm, problem.state
+    if state.dim != povm.dim:
+        raise ValidationError("state and POVM dimensions differ")
     d, m = povm.dim, povm.num_outcomes
     n = m   # one sub-POVM per outcome
     if d > MAX_SDP_DIM or m > MAX_SDP_OUTCOMES:
@@ -860,7 +855,7 @@ def _search_objective(x: np.ndarray, povm: Povm, config: SolverConfig) -> tuple[
     to v is 2 (S v - f v) / |v|^2 and costs nothing beyond the solve.
     """
     v, state = _state_from_params(x, povm.dim)
-    res = solve_primal(PrimalProblem(povm, state), config, polish=False)
+    res = solve_primal(povm, state, config, polish=False)
     S = np.einsum("jjab->ab", res.decomposition.K)
     grad = 2.0 * (S @ v - res.value * v) / np.vdot(v, v).real
     return res.value, np.concatenate([grad.real, grad.imag])
@@ -909,6 +904,6 @@ def minimize_over_states(povm: Povm, config: SolverConfig | None = None) -> Stat
         raise SolverError("state search produced no valid candidate")
     results.sort(key=lambda item: item[0])
     best_value, best_state = results[0]
-    final = solve_primal(PrimalProblem(povm, best_state), cfg)
+    final = solve_primal(povm, best_state, cfg)
     near = sum(val <= best_value + 1e-4 for val, _ in results)
     return StateSearch(best_state, final.value, final, len(starts), near >= 2)

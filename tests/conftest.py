@@ -37,6 +37,17 @@ def random_hermitian(rng, d, scale=1.0):
     return scale * 0.5 * (G + G.conj().T)
 
 
+def random_povm(rng, d, m, ranks=None):
+    """POVM S^-1/2 G_x S^-1/2 for G_x = A A^dagger, A Ginibre d x r_x (full rank: r_x = d)."""
+    G = []
+    for r in ranks or [d] * m:
+        A = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+        G.append(A @ A.conj().T)
+    w, V = np.linalg.eigh(sum(G))
+    S = (V / np.sqrt(w)) @ V.conj().T
+    return [0.5 * (E + E.conj().T) for E in (S @ g @ S for g in G)]
+
+
 def random_qubit_two_outcome(rng, lo=0.05, hi=0.95, rotate=True):
     from qmrand import two_outcome_qubit
 

@@ -43,7 +43,6 @@ from qmrand.povm import (
     unbiased_state,
 )
 from qmrand.sdp import (
-    PrimalProblem,
     SolverConfig,
     build_dual_certificate_noisy_projective,
     complementary_slackness_residual,
@@ -61,7 +60,7 @@ SOLVER_RUNS = []
 
 
 def solve_and_record(povm, state, config=None):
-    res = solve_primal(PrimalProblem(povm, state), config)
+    res = solve_primal(povm, state, config)
     SOLVER_RUNS.append((povm, res))
     return res
 

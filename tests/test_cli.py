@@ -10,7 +10,7 @@ from qmrand.cli import EXIT_INPUT, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from qmrand.decompositions import sqrt_decomposition_qudit, trivial_decomposition
 from qmrand.povm import NoiseModel, Povm, PureState, noisy_projective, unbiased_state
 
-from conftest import random_qubit_two_outcome, random_unitary
+from conftest import random_povm, random_qubit_two_outcome, random_unitary
 
 
 @pytest.fixture
@@ -93,6 +93,14 @@ class TestCompute:
         rep = json.loads(out)
         assert rep["method"] == "sdp"
         assert 1 / 3 <= rep["pguess"] <= 1.0
+
+    def test_random_qutrit_povm_needs_state(self, files, capsys):
+        # no closed form: the element traces of a random 3-outcome POVM are not 1
+        tmp, write = files
+        pv = Povm(tuple(random_povm(np.random.default_rng(1), 3, 3)))
+        code = main(["compute", write("povm.json", jsonio.povm_to_json(pv))])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT and "provide --state or --minimize-state" in err
 
     def test_solver_error_exit_3(self, files, capsys):
         # one Newton step cannot reach the barrier's end
@@ -210,6 +218,26 @@ class TestCertify:
         code, rep = self._analytic(files, capsys, noisy_projective(3, 0.4).elements,
                                    [0.8, 0.36, 0.48])
         assert code == EXIT_VALIDATION and not rep["passed"]
+
+    @pytest.mark.parametrize("elements", [
+        random_povm(np.random.default_rng(1), 3, 3),   # not noisy projective
+        noisy_projective(3, 0.0).elements,             # eps = 0, outside 0 < eps < 1
+    ], ids=["random", "projective"])
+    def test_analytic_needs_a_noisy_projective_povm(self, files, capsys, elements):
+        tmp, write = files
+        povm = write("povm.json", jsonio.povm_to_json(Povm(tuple(elements))))
+        state = write("state.json", jsonio.state_to_json(unbiased_state(3)))
+        code = main(["certify", povm, state, "--analytic"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT and "--analytic requires a noisy projective POVM" in err
+
+    def test_needs_a_decomposition_or_analytic(self, files, capsys):
+        tmp, write = files
+        povm = write("povm.json", jsonio.povm_to_json(noisy_projective(2, 0.3)))
+        state = write("state.json", jsonio.state_to_json(unbiased_state(2)))
+        code = main(["certify", povm, state])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT and "provide a decomposition file or --analytic" in err
 
     def test_corrupted_decomposition(self, files, capsys):
         tmp, write = files
@@ -413,7 +441,37 @@ BAD_NUMBERS = {
         ["compute", "{povm}", "--state", "{state}", "--solver-config", "{cfg_unknown_key}"], None),
     "config-removed-restore-eta": (
         ["compute", "{povm}", "--state", "{state}", "--solver-config", "{cfg_restore_eta}"], None),
+    "povm-dim-not-an-int": (["compute", "{povm_dim_abc}"], None),
+    "state-dim-not-an-int": (["compute", "{povm}", "--state", "{state_dim_abc}"], None),
+    "decomposition-outcomes-not-an-int": (["certify", "{povm}", "{state}", "{dec_outcomes_abc}"], None),
+    "decomposition-block-of-another-dim": (["certify", "{povm}", "{state}", "{dec_block_3x3}"], None),
+    "povm-entry-nan": (["compute", "{povm_nan}", "--state", "{state}"], None),
+    "state-amplitude-nan": (["compute", "{povm}", "--state", "{state_nan}"], None),
 }
+
+
+def _malformed_files(write) -> dict:
+    """Wire-format files with a count that is not an int or an entry that is NaN."""
+    povm, state = noisy_projective(2, 0.15), unbiased_state(2)
+    povm_dim_abc = jsonio.povm_to_json(povm)
+    povm_dim_abc["elements"][0]["dim"] = "abc"
+    state_dim_abc = {**jsonio.state_to_json(state), "dim": "abc"}
+    dec = jsonio.decomposition_to_json(sqrt_decomposition_qudit(NoiseModel(2, 0.15), state))
+    dec_block_3x3 = {**dec, "K": [[jsonio.matrix_to_json(np.eye(3))] * 2] * 2}
+    # a 3-outcome qubit POVM with one NaN entry passes every comparison
+    E = povm.elements[0]
+    povm_nan = jsonio.povm_to_json(Povm((E / 2, E / 2, povm.elements[1])))
+    povm_nan["elements"][0]["entries"][1][1][0] = math.nan
+    state_nan = jsonio.state_to_json(state)
+    state_nan["amplitudes"][0][0] = math.nan
+    return {
+        "povm_dim_abc": write("povm_dim_abc.json", povm_dim_abc),
+        "state_dim_abc": write("state_dim_abc.json", state_dim_abc),
+        "dec_outcomes_abc": write("dec_outcomes_abc.json", {**dec, "outcomes": "abc"}),
+        "dec_block_3x3": write("dec_block_3x3.json", dec_block_3x3),
+        "povm_nan": write("povm_nan.json", povm_nan),
+        "state_nan": write("state_nan.json", state_nan),
+    }
 
 
 @pytest.mark.parametrize("argv, qrand_tol", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
@@ -428,6 +486,7 @@ def test_bad_numbers_exit_2_without_traceback(files, capsys, monkeypatch, argv, 
         "cfg_unknown_key": write("cfg_unknown_key.json", {"tolerance": 1e-3}),
         "cfg_restore_eta": write("cfg_restore_eta.json", {"restore_eta": 1e-8}),
         "cfg_long_int": str(tmp / "cfg_long_int.json"),
+        **_malformed_files(write),
     }
     (tmp / "cfg_long_int.json").write_text('{"seed": 1' + "0" * 5000 + "}")
     monkeypatch.delenv("QRAND_TOL", raising=False)

@@ -14,7 +14,7 @@ from qmrand.closed_form import (
 from qmrand.linalg import ValidationError
 from qmrand.povm import NoiseModel, Povm, noisy_projective, two_outcome_qubit, unbiased_state
 
-from conftest import random_qubit_two_outcome, random_unitary
+from conftest import random_povm, random_qubit_two_outcome, random_unitary
 
 
 def qubit_formula(m1, m2):
@@ -185,6 +185,13 @@ class TestDetection:
         M2 = np.diag([0.25, 0.6, 0.15]).astype(complex)
         pv = Povm((M1, M2, np.eye(3) - M1 - M2))
         assert detect_noisy_projective(pv) is None
+
+    def test_rejects_element_traces_off_one(self, rng):
+        # a random 3-outcome qutrit POVM fails the first test, tr M_x = 1
+        pv = Povm(tuple(random_povm(rng, 3, 3)))
+        assert max(abs(np.trace(E).real - 1.0) for E in pv.elements) > 1e-3
+        assert detect_noisy_projective(pv) is None
+        assert pguess_star_certified(pv) is None
 
     def test_certified_dispatch(self, rng):
         pv = random_qubit_two_outcome(rng)

@@ -323,7 +323,7 @@ class TestCoarseGraining:
         qdec = sqrt_decomposition_qubit(
             noisy_projective(2, eps), PureState(np.array([alpha, alpha], dtype=complex))
         )
-        infl = inflate_qubit_decomposition(noise, qdec, (alpha, alpha))
+        infl = inflate_qubit_decomposition(noise, qdec)
         cg_povm = coarse_grain(noise.povm(), halves_partition(4))
         assert verify_decomposition(infl, cg_povm, 1e-9).passed
         bus = block_uniform_state(4, alpha, alpha)
@@ -334,7 +334,7 @@ class TestCoarseGraining:
         noise = NoiseModel(4, eps)
         st2 = PureState(np.array([1.0, 0.0], dtype=complex))
         qdec = sqrt_decomposition_qubit(noisy_projective(2, eps), st2)
-        infl = inflate_qubit_decomposition(noise, qdec, (1.0, 0.0))
+        infl = inflate_qubit_decomposition(noise, qdec)
         bus = block_uniform_state(4, 1.0, 0.0)
         assert abs(infl.guess_value(bus) - 1.0) < 1e-12
 
@@ -346,7 +346,7 @@ class TestCoarseGraining:
                 qdec = sqrt_decomposition_qubit(
                     noisy_projective(2, eps), PureState(np.array([a1, a2], dtype=complex))
                 )
-                infl = inflate_qubit_decomposition(noise, qdec, (a1, a2))
+                infl = inflate_qubit_decomposition(noise, qdec)
                 val = infl.guess_value(block_uniform_state(4, a1, a2))
                 ref = 1 - a1**2 * (1 - a1**2) * (np.sqrt(2 - eps) - np.sqrt(eps)) ** 2
                 assert abs(val - ref) < 1e-12
@@ -390,7 +390,7 @@ class TestCoarseGraining:
     def test_odd_dimension_rejected(self):
         qdec = sqrt_decomposition_qubit(noisy_projective(2, 0.2), unbiased_state(2))
         with pytest.raises(DomainError):
-            inflate_qubit_decomposition(NoiseModel(5, 0.2), qdec, (0.7, np.sqrt(0.51)))
+            inflate_qubit_decomposition(NoiseModel(5, 0.2), qdec)
 
 
 class TestJointNoise:

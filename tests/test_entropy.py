@@ -22,7 +22,6 @@ from qmrand.entropy import (
     conditional_vn_entropy,
     ensemble_guessing_probability,
     entropy_curve_point,
-    entropy_report,
     eve_ensemble_from_decomposition,
     hmax_bound_noisy_projective,
     p_secr,
@@ -434,18 +433,11 @@ class TestEntropyReportOrdering:
     def test_ordering_on_sqrt_ensembles(self):
         for d, eps in [(2, 0.3), (3, 0.5), (4, 0.8)]:
             ens, noise = sqrt_ensemble(d, eps)
-            rep = entropy_report(ens, noise, PSecrConfig(restarts=2, max_iters=60))
-            assert rep.hmin <= rep.h_vn + 1e-9
-            assert rep.h_vn <= rep.hmax + 1e-9
-            assert abs(rep.bounds["hmax_bound"] - rep.hmax) < 1e-6
-
-    def test_non_commuting_fails_before_the_ascent(self, monkeypatch):
-        def no_ascent(*args, **kwargs):
-            raise AssertionError("p_secr ran before the commutation check")
-
-        monkeypatch.setattr(qmrand.entropy, "p_secr", no_ascent)
-        with pytest.raises(ValidationError):
-            entropy_report(non_commuting_ensemble())
+            hmin, h_vn = conditional_min_entropy(ens), conditional_vn_entropy(ens)
+            hmax = p_secr(ens, PSecrConfig(restarts=2, max_iters=60)).hmax_bits
+            assert hmin <= h_vn + 1e-9
+            assert h_vn <= hmax + 1e-9
+            assert abs(hmax_bound_noisy_projective(noise) - hmax) < 1e-6
 
     def test_curve_point_keys(self):
         row = entropy_curve_point(NoiseModel(2, 0.15))

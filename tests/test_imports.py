@@ -1,4 +1,4 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import and private name in the package is used by its module.
 
 ``__init__.py`` is skipped: its imports are the package's public names.
 """
@@ -35,3 +35,33 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Module-level private names (``_name``: function, class or constant) never read."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                bound.setdefault(name, node.lineno)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_detects_an_unread_private_name():
+    source = "_A, _B = 1, 2\n_C: int = 3\ndef _f():\n    return _A\nclass _K:\n    pass\n_f()\n"
+    assert unread_private_names(source) == ["line 1: _B", "line 2: _C", "line 5: _K"]
+    assert unread_private_names("def _f():\n    _f = 1\n") == ["line 1: _f"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []

@@ -29,6 +29,12 @@ class TestPureState:
         with pytest.raises(ValidationError):
             PureState(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_amplitude_rejected(self, bad):
+        # a NaN amplitude used to pass the normalization test, as NaN compares False
+        with pytest.raises(ValidationError, match="finite"):
+            PureState(np.array([bad, 0.8]))
+
     def test_projector(self):
         p = unbiased_state(2).projector()
         assert np.allclose(p, 0.5 * np.ones((2, 2)))
@@ -42,6 +48,14 @@ class TestPovmType:
     def test_rejects_non_psd(self):
         with pytest.raises(ValidationError):
             Povm((np.diag([1.2, 1.0]), np.diag([-0.2, 0.0])))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        # three qubit outcomes, one NaN entry: PSD and completeness tests compare False
+        E = np.diag([0.5, 0.0]).astype(complex)
+        E[1, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            Povm((E, np.diag([0.5, 0.5]), np.diag([0.0, 0.5])))
 
     def test_rejects_incomplete(self):
         with pytest.raises(ValidationError):

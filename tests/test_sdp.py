@@ -18,7 +18,6 @@ from qmrand.linalg import SolverError, ValidationError
 from qmrand.povm import NoiseModel, Povm, PureState, noisy_projective, two_outcome_qubit, unbiased_state
 from qmrand.sdp import (
     DualCertificate,
-    PrimalProblem,
     SolverConfig,
     build_dual_certificate_noisy_projective,
     complementary_slackness_residual,
@@ -29,6 +28,7 @@ from qmrand.sdp import (
 
 from conftest import (
     random_hermitian,
+    random_povm,
     random_qubit_two_outcome,
     random_state_vector,
     random_unitary,
@@ -37,25 +37,25 @@ from conftest import (
 
 class TestSolvePrimal:
     def test_noisy_qubit_at_unbiased(self):
-        res = solve_primal(PrimalProblem(noisy_projective(2, 0.15), unbiased_state(2)))
+        res = solve_primal(noisy_projective(2, 0.15), unbiased_state(2))
         assert abs(res.value - 0.7633913438213185) < 1e-5
         assert res.gap is not None and res.gap < 1e-6
         assert res.feasibility_residual < 1e-8
 
     def test_noisy_qutrit_at_unbiased(self):
-        res = solve_primal(PrimalProblem(noisy_projective(3, 0.2), unbiased_state(3)))
+        res = solve_primal(noisy_projective(3, 0.2), unbiased_state(3))
         assert abs(res.value - 0.6982712244856881) < 1e-5
 
     def test_trivial_povm(self, rng):
         pv = Povm((np.eye(2) / 2, np.eye(2) / 2))
         st = PureState(random_state_vector(rng, 2))
-        res = solve_primal(PrimalProblem(pv, st))
+        res = solve_primal(pv, st)
         assert abs(res.value - 1.0) < 1e-6
 
     def test_output_decomposition_feasible(self, rng):
         pv = random_qubit_two_outcome(rng)
         st = PureState(random_state_vector(rng, 2))
-        res = solve_primal(PrimalProblem(pv, st))
+        res = solve_primal(pv, st)
         assert verify_decomposition(res.decomposition, pv, 1e-8).passed
 
     def test_weak_duality_and_sqrt_lower_bound(self, rng):
@@ -65,7 +65,7 @@ class TestSolvePrimal:
         for _ in range(10):
             pv = random_qubit_two_outcome(rng)
             st = PureState(random_state_vector(rng, 2))
-            res = solve_primal(PrimalProblem(pv, st), cfg)
+            res = solve_primal(pv, st, cfg)
             assert res.value <= res.dual_value + 1e-8
             sq = sqrt_decomposition_qubit(pv, st).guess_value(st)
             assert res.value >= sq - 1e-8
@@ -73,14 +73,14 @@ class TestSolvePrimal:
     def test_extracted_certificate_verifies(self, rng):
         pv = random_qubit_two_outcome(rng)
         st = PureState(random_state_vector(rng, 2))
-        res = solve_primal(PrimalProblem(pv, st))
+        res = solve_primal(pv, st)
         chk = verify_dual_certificate(res.certificate, st, pv, tol=1e-9)
         assert chk.feasible
         assert abs(chk.dual_value - res.dual_value) < 1e-12
 
     def test_rank_deficient_restoration(self):
         # facial reduction is exact: no white noise, so no sqrt(eta) bias at eps = 0
-        res = solve_primal(PrimalProblem(noisy_projective(2, 0.0), unbiased_state(2)))
+        res = solve_primal(noisy_projective(2, 0.0), unbiased_state(2))
         assert res.restored
         assert abs(res.value - 0.5) <= SolverConfig().tol
         assert res.gap >= -1e-12
@@ -92,7 +92,7 @@ class TestSolvePrimal:
         for d, ranks in ((3, (1, 2, 2)), (4, (1, 2, 3, 2))):   # the second draw is solved
             pv = Povm(tuple(random_povm(rng, d, len(ranks), ranks)))
             state = PureState(random_state(rng, d))
-        res = solve_primal(PrimalProblem(pv, state))
+        res = solve_primal(pv, state)
         assert res.restored
         assert res.iterations <= 45
         assert -1e-12 <= res.gap <= SolverConfig().tol
@@ -100,7 +100,7 @@ class TestSolvePrimal:
     @pytest.mark.parametrize("d", range(2, 9))
     def test_projective_solves_exactly_on_the_faces(self, d):
         tol = SolverConfig().tol
-        res = solve_primal(PrimalProblem(noisy_projective(d, 0.0), unbiased_state(d)))
+        res = solve_primal(noisy_projective(d, 0.0), unbiased_state(d))
         assert res.restored
         assert abs(res.value - 1.0 / d) <= tol
         assert -1e-12 <= res.gap <= tol
@@ -110,7 +110,11 @@ class TestSolvePrimal:
 
     def test_scale_cap(self):
         with pytest.raises(ValidationError):
-            solve_primal(PrimalProblem(noisy_projective(9, 0.5), unbiased_state(9)))
+            solve_primal(noisy_projective(9, 0.5), unbiased_state(9))
+
+    def test_state_dimension_must_match(self):
+        with pytest.raises(ValidationError, match="state and POVM dimensions differ"):
+            solve_primal(noisy_projective(3, 0.5), unbiased_state(2))
 
     @pytest.mark.parametrize("d, eps", [(6, 1e-6), (8, 0.5)])
     def test_large_noisy_projective_brackets_closed_form(self, monkeypatch, d, eps):
@@ -134,7 +138,7 @@ class TestSolvePrimal:
         monkeypatch.setattr(sdp, "_barrier_path", traced_path)
         monkeypatch.setattr(sdp, "_multipliers", traced_multipliers)
         pstar = pguess_star_noisy_projective(NoiseModel(d, eps)).pguess
-        res = solve_primal(PrimalProblem(noisy_projective(d, eps), unbiased_state(d)))
+        res = solve_primal(noisy_projective(d, eps), unbiased_state(d))
         assert not res.restored
         assert res.value <= pstar + 1e-9 <= res.dual_value + 2e-9
         assert res.gap >= -1e-12
@@ -149,7 +153,7 @@ class TestSolvePrimal:
     def test_zero_element_solves_to_one(self, d):
         # the zero outcome's face is {0}: its blocks drop out and P* = 1
         pv = Povm((np.eye(d), np.zeros((d, d))))
-        res = solve_primal(PrimalProblem(pv, unbiased_state(d)))
+        res = solve_primal(pv, unbiased_state(d))
         assert res.restored
         assert abs(res.value - 1.0) <= SolverConfig().tol
         assert -1e-12 <= res.gap <= SolverConfig().tol
@@ -158,13 +162,13 @@ class TestSolvePrimal:
     def test_failed_decomposition_check_raises(self, monkeypatch):
         monkeypatch.setattr(sdp, "verify_decomposition", _violating_report)
         with pytest.raises(SolverError, match="violates its constraints by 2.000e-08"):
-            solve_primal(PrimalProblem(noisy_projective(2, 0.3), unbiased_state(2)))
+            solve_primal(noisy_projective(2, 0.3), unbiased_state(2))
 
     def test_failed_certificate_check_raises(self, monkeypatch):
         monkeypatch.setattr(sdp, "verify_dual_certificate",
                             lambda cert, state, povm: sdp.DualCheck(0.5, False, -2e-9, 0.0))
         with pytest.raises(SolverError, match="least slack eigenvalue -2.000e-09"):
-            solve_primal(PrimalProblem(noisy_projective(2, 0.3), unbiased_state(2)))
+            solve_primal(noisy_projective(2, 0.3), unbiased_state(2))
 
     @pytest.mark.parametrize("polish", [True, False])
     def test_negative_gap_raises(self, monkeypatch, polish):
@@ -173,8 +177,7 @@ class TestSolvePrimal:
         monkeypatch.setattr(DualCertificate, "dual_value",
                             lambda cert, povm: real(cert, povm) - 1e-6)
         with pytest.raises(SolverError, match="above the certified dual value"):
-            solve_primal(PrimalProblem(noisy_projective(2, 0.3), unbiased_state(2)),
-                         polish=polish)
+            solve_primal(noisy_projective(2, 0.3), unbiased_state(2), polish=polish)
 
 
 def _violating_report(decomp, povm, tol=1e-9):
@@ -183,17 +186,6 @@ def _violating_report(decomp, povm, tol=1e-9):
 
 
 # Copies of the benchmark's draws (bench/workloads.py, which is not importable).
-def random_povm(rng, d, m, ranks=None):
-    """POVM S^-1/2 G_x S^-1/2 for G_x = A A^dagger, A Ginibre d x r_x (full rank: r_x = d)."""
-    G = []
-    for r in ranks or [d] * m:
-        A = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
-        G.append(A @ A.conj().T)
-    w, V = np.linalg.eigh(sum(G))
-    S = (V / np.sqrt(w)) @ V.conj().T
-    return [0.5 * (E + E.conj().T) for E in (S @ g @ S for g in G)]
-
-
 def random_state(rng, d):
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return v / np.linalg.norm(v)
@@ -212,7 +204,7 @@ def _random_problems(seed, count, d_range, m_range):
 def _assert_verified_bracket(pv, state, tol):
     """Solve at ``tol``, check the decomposition and the certificate independently,
     and return the number of Newton steps."""
-    res = solve_primal(PrimalProblem(pv, state), SolverConfig(tol=tol))
+    res = solve_primal(pv, state, SolverConfig(tol=tol))
     assert verify_dual_certificate(res.certificate, state, pv, tol=1e-9).feasible
     assert verify_decomposition(res.decomposition, pv, 1e-9).passed
     assert -1e-12 <= res.gap <= tol
@@ -253,7 +245,7 @@ class TestPrimalRounding:
         round_primal = sdp._round_primal
         monkeypatch.setattr(sdp, "_round_primal",
                             lambda *args: rounded.append(round_primal(*args)) or rounded[-1])
-        res = solve_primal(PrimalProblem(pv, state))
+        res = solve_primal(pv, state)
         [out] = rounded
         assert out is not None and out[1] == res.value
         # the dual fit is refused here, so the barrier's certificate stays
@@ -261,7 +253,7 @@ class TestPrimalRounding:
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_polished_noisy_projective_gap(self, d):
-        res = solve_primal(PrimalProblem(noisy_projective(d, 0.05), unbiased_state(d)))
+        res = solve_primal(noisy_projective(d, 0.05), unbiased_state(d))
         assert -1e-12 <= res.gap <= 1e-12
 
 
@@ -402,7 +394,7 @@ class TestNewtonSystem:
 
         monkeypatch.setattr(sdp, "_multipliers", broken)
         with pytest.raises(SolverError, match="line search found no step"):
-            solve_primal(PrimalProblem(noisy_projective(2, 0.3), unbiased_state(2)))
+            solve_primal(noisy_projective(2, 0.3), unbiased_state(2))
 
     @pytest.mark.parametrize("d", [5, 6])
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -511,7 +503,7 @@ class TestNewtonSystem:
         rng = np.random.default_rng(d * 10 + m)
         pv, state = Povm(tuple(random_povm(rng, d, m))), PureState(random_state(rng, d))
         monkeypatch.setattr(sdp.np.linalg, "lstsq", no_lstsq)
-        res = solve_primal(PrimalProblem(pv, state), SolverConfig(tol=1e-6))
+        res = solve_primal(pv, state, SolverConfig(tol=1e-6))
         assert not res.restored and -1e-12 <= res.gap <= 1e-6
 
 
@@ -552,7 +544,7 @@ def _rounded_primal(monkeypatch, povm, state):
     round_primal = sdp._round_primal
     monkeypatch.setattr(sdp, "_round_primal",
                         lambda *args: rounded.append(round_primal(*args)) or rounded[-1])
-    res = solve_primal(PrimalProblem(povm, state))
+    res = solve_primal(povm, state)
     [(k, value, Q)] = rounded
     assert value == res.value
     d, m = povm.dim, povm.num_outcomes
@@ -638,21 +630,21 @@ class TestDualPolish:
         # while the fit was also refused at a least face slack below -1e-6, these
         # kept the barrier's gaps of 1.5e-4 to 1.6e-4
         pv, state = _random_problems(5, 20, (2, 5), (2, 5))[draw]
-        res = solve_primal(PrimalProblem(pv, state), SolverConfig(tol=1e-3))
+        res = solve_primal(pv, state, SolverConfig(tol=1e-3))
         assert -1e-12 <= res.gap <= 1e-4
 
 
 _SOLVE_NP4_EPS0 = """
 from qmrand.povm import noisy_projective, unbiased_state
-from qmrand.sdp import PrimalProblem, solve_primal
-print(repr(solve_primal(PrimalProblem(noisy_projective(4, 0.0), unbiased_state(4))).value))
+from qmrand.sdp import solve_primal
+print(repr(solve_primal(noisy_projective(4, 0.0), unbiased_state(4)).value))
 """
 
 
 _NEWTON_STEPS_NP6 = """
 from qmrand.povm import noisy_projective, unbiased_state
-from qmrand.sdp import PrimalProblem, solve_primal
-print(solve_primal(PrimalProblem(noisy_projective(6, 6e-7), unbiased_state(6))).iterations)
+from qmrand.sdp import solve_primal
+print(solve_primal(noisy_projective(6, 6e-7), unbiased_state(6)).iterations)
 """
 
 
@@ -789,12 +781,12 @@ class TestMinimizeOverStates:
         calls = []
         real = sdp.solve_primal
 
-        def solve(problem, config=None, polish=True):
+        def solve(povm, state, config=None, polish=True):
             if not polish:
-                calls.append(problem.state)
+                calls.append(state)
                 if fails(len(calls)):
                     raise SolverError("injected failure")
-            return real(problem, config, polish)
+            return real(povm, state, config, polish)
 
         monkeypatch.setattr(sdp, "solve_primal", solve)
         return calls

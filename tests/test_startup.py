@@ -68,7 +68,7 @@ def test_closed_form_compute_loads_no_scipy(tmp_path):
 def test_fixed_state_solve_loads_only_scipy_linalg():
     code = (
         "from qmrand.povm import noisy_projective, unbiased_state\n"
-        "from qmrand.sdp import PrimalProblem, solve_primal\n"
-        "solve_primal(PrimalProblem(noisy_projective(2, 0.3), unbiased_state(2)))\n"
+        "from qmrand.sdp import solve_primal\n"
+        "solve_primal(noisy_projective(2, 0.3), unbiased_state(2))\n"
     )
     assert loaded_after(code) == {"scipy.linalg": True, "scipy.optimize": False}
