@@ -826,6 +826,27 @@ def complementary_slackness_residual(decomp: Decomposition, cert: DualCertificat
 # ---------------------------------------------------------------------------
 
 
+_GTOL = 1e-5                 # BFGS stops at |gradient|_inf <= _GTOL (scipy's gtol)
+_WOLFE = (1e-4, 0.9)         # Armijo and curvature constants of the BFGS line search
+_LINE_TRIALS = 40            # trial steps per BFGS line search
+
+
+@dataclass(frozen=True)
+class StartRecord:
+    """What one start of the state search did.
+
+    The ``solves`` loose solves that returned took ``newton_steps`` Newton
+    steps in all.  A failed start, ended by a ``SolverError``, has no
+    ``iterations`` and no ``value``.
+    """
+
+    iterations: int | None
+    solves: int
+    newton_steps: int
+    value: float | None
+    failed: bool
+
+
 @dataclass(frozen=True)
 class StateSearch:
     """Best state found by the multistart search and its certified value."""
@@ -835,6 +856,7 @@ class StateSearch:
     solve: SolveResult
     starts: int
     converged: bool
+    records: tuple[StartRecord, ...]
 
 
 def _state_from_params(x: np.ndarray, d: int) -> tuple[np.ndarray, PureState]:
@@ -846,8 +868,10 @@ def _state_from_params(x: np.ndarray, d: int) -> tuple[np.ndarray, PureState]:
     return v, PureState(v / norm)
 
 
-def _search_objective(x: np.ndarray, povm: Povm, config: SolverConfig) -> tuple[float, np.ndarray]:
-    """Loose guessing probability at v = x[:d] + i x[d:] and its exact gradient in x.
+def _search_objective(x: np.ndarray, povm: Povm,
+                      config: SolverConfig) -> tuple[float, np.ndarray, int]:
+    """Loose guessing probability at v = x[:d] + i x[d:], its exact gradient in x
+    and the Newton steps of the solve.
 
     The value f = <v|S|v> / |v|^2, with S = sum_j K[j][j] of the returned
     decomposition, is a maximum over a feasible set that does not depend on
@@ -858,24 +882,89 @@ def _search_objective(x: np.ndarray, povm: Povm, config: SolverConfig) -> tuple[
     res = solve_primal(povm, state, config, polish=False)
     S = np.einsum("jjab->ab", res.decomposition.K)
     grad = 2.0 * (S @ v - res.value * v) / np.vdot(v, v).real
-    return res.value, np.concatenate([grad.real, grad.imag])
+    return res.value, np.concatenate([grad.real, grad.imag]), res.iterations
+
+
+def _bfgs(fun, x0: np.ndarray, ftol: float) -> tuple[np.ndarray, float, int]:
+    """Minimize ``fun(x) -> (value, gradient)`` by BFGS from x0 and H0 = I.
+
+    The inverse-Hessian update is that of Nocedal and Wright (2006, ch. 6),
+    skipped when y.s <= 0.  The line search is the weak-Wolfe bisection of
+    Lewis and Overton (2013): a trial a accepts once f(x + a p) <= f + c1 a g.p
+    (Armijo) and g(x + a p).p >= c2 g.p (weak curvature); an Armijo failure
+    caps a, a curvature failure floors it, and a doubles until it is capped,
+    then bisects.  Every trial is one call of ``fun``, which returns the
+    gradient with the value.  The first trial is min(1, 1.01 / |g|), later
+    ones are 1.
+
+    Stops at |g|_inf <= ``_GTOL``, or before a trial whose predicted
+    decrease -a g.p is at most ``ftol``, which the value cannot resolve, or
+    after ``_LINE_TRIALS`` trials of one line search, or after 200 len(x0)
+    iterations.  A line search that stops moves to its last Armijo point, if
+    any.  Returns (x, value, iterations).
+    """
+    c1, c2 = _WOLFE
+    x, (f, g) = x0, fun(x0)
+    H = np.eye(x0.size)
+    max_iters = 200 * x0.size
+    for it in range(max_iters):
+        if max_abs(g) <= _GTOL:
+            return x, f, it
+        p = -(H @ g)
+        slope = float(g @ p)
+        lo, hi, alpha = 0.0, np.inf, 1.0 if it else min(1.0, 1.01 / np.linalg.norm(g))
+        step, wolfe = None, False   # the last trial that passed Armijo
+        for _ in range(_LINE_TRIALS):
+            if -alpha * slope <= ftol:
+                break
+            x_new = x + alpha * p
+            f_new, g_new = fun(x_new)
+            if f_new > f + c1 * alpha * slope:
+                hi = alpha
+            else:
+                step, wolfe = (x_new, f_new, g_new), g_new @ p >= c2 * slope
+                if wolfe:
+                    break
+                lo = alpha
+            alpha = 2.0 * alpha if hi == np.inf else 0.5 * (lo + hi)
+        if step is None:
+            return x, f, it
+        x_new, f, g_new = step
+        s, y = x_new - x, g_new - g
+        x, g = x_new, g_new
+        if not wolfe:
+            return x, f, it + 1
+        ys = float(y @ s)
+        if ys > 0.0:
+            Hy = H @ y
+            H = H + ((1.0 + (y @ Hy) / ys) * np.outer(s, s) - np.outer(Hy, s) - np.outer(s, Hy)) / ys
+    return x, f, max_iters
 
 
 def minimize_over_states(povm: Povm, config: SolverConfig | None = None) -> StateSearch:
     """Minimize the guessing probability over pure input states.
 
     Deterministic multistart (eigenbasis-unbiased and uniform states plus
-    seeded random ones), each refined by BFGS on the real embedding
-    x -> v = x[:d] + i x[d:] of the unnormalized state.  Every step costs one
-    loose, unpolished solve, which also yields the exact gradient: the
-    smoothed value is a maximum over a feasible set that does not depend on
-    the state, so the envelope theorem applies (see ``_search_objective``).
+    seeded random ones), each refined by BFGS (``_bfgs``) on the real
+    embedding x -> v = x[:d] + i x[d:] of the unnormalized state.  Every
+    trial step costs one loose, unpolished solve, which also yields the exact
+    gradient: the smoothed value is a maximum over a feasible set that does
+    not depend on the state, so the envelope theorem applies (see
+    ``_search_objective``).
+
+    The line search accepts on Armijo (c1 = 1e-4) and the weak curvature
+    condition (c2 = 0.9): it doubles the step until the curvature condition
+    holds and then bisects the bracket, at most 40 trials, the first trial of
+    a start being min(1, 1.01 / |g|) and every later one 1.  A start stops at
+    |g|_inf <= 1e-5, when a trial's predicted decrease -a g.p falls to a tenth
+    of the loose solves' tolerance, which their values cannot resolve, or
+    after 200 * 2d iterations.
+
     A start whose solve fails ends there and is left out.  The returned value
     is re-solved at full precision at the best state; the result is flagged
     not converged when only a single start came within 1e-4 of it.
+    ``records`` holds one ``StartRecord`` per start, in start order.
     """
-    from scipy.optimize import minimize
-
     cfg = config or SolverConfig()
     d = povm.dim
     if d > 4:
@@ -893,17 +982,27 @@ def minimize_over_states(povm: Povm, config: SolverConfig | None = None) -> Stat
     starts = [np.concatenate([u.real, u.imag]) for u in seen]
     starts += [v / np.linalg.norm(v) for v in rng.normal(size=(cfg.multistarts, 2 * d))]
 
-    results = []
+    steps: list[int] = []   # Newton steps of each loose solve of the current start
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad, newton_steps = _search_objective(x, povm, search_cfg)
+        steps.append(newton_steps)
+        return value, grad
+
+    results, records = [], []
     for x0 in starts:
+        steps.clear()
         try:
-            res = minimize(_search_objective, x0, (povm, search_cfg), jac=True, method="BFGS")
-            results.append((float(res.fun), _state_from_params(res.x, d)[1]))
+            x, value, iterations = _bfgs(objective, x0, search_cfg.tol / 10.0)
         except SolverError:
+            records.append(StartRecord(None, len(steps), sum(steps), None, True))
             continue
+        records.append(StartRecord(iterations, len(steps), sum(steps), value, False))
+        results.append((value, _state_from_params(x, d)[1]))
     if not results:
         raise SolverError("state search produced no valid candidate")
     results.sort(key=lambda item: item[0])
     best_value, best_state = results[0]
     final = solve_primal(povm, best_state, cfg)
     near = sum(val <= best_value + 1e-4 for val, _ in results)
-    return StateSearch(best_state, final.value, final, len(starts), near >= 2)
+    return StateSearch(best_state, final.value, final, len(starts), near >= 2, tuple(records))

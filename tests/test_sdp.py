@@ -807,6 +807,26 @@ class TestMinimizeOverStates:
             minimize_over_states(noisy_projective(2, 0.3), SolverConfig(multistarts=2))
         assert len(calls) == 3  # one failed solve per start, then each start ends
 
+    def test_records_one_per_start(self):
+        search = minimize_over_states(noisy_projective(2, 0.3), SolverConfig(multistarts=2))
+        assert len(search.records) == search.starts
+        for rec in search.records:
+            assert not rec.failed
+            assert rec.iterations >= 0 and rec.solves >= rec.iterations + 1
+            assert rec.newton_steps >= rec.solves
+            assert search.value <= rec.value + 1e-4
+        assert min(rec.value for rec in search.records) <= search.value + 1e-5
+
+    def test_records_of_failed_starts(self, monkeypatch):
+        # the first two loose solves fail, ending the first two starts
+        self._failing_solves(monkeypatch, lambda call: call <= 2)
+        pv = Povm((np.eye(2) / 2, np.eye(2) / 2))
+        records = minimize_over_states(pv, SolverConfig(multistarts=2)).records
+        assert [rec.failed for rec in records] == [True, True, False]
+        assert all(rec.iterations is None and rec.value is None and rec.solves == 0
+                   for rec in records[:2])
+        assert records[2].solves >= 1 and abs(records[2].value - 1.0) < 1e-6
+
     @pytest.mark.parametrize("which", ["qubit", "qutrit"])
     def test_envelope_gradient_matches_finite_differences(self, rng, which):
         pv = random_qubit_two_outcome(rng) if which == "qubit" else noisy_projective(3, 0.2)
@@ -814,15 +834,68 @@ class TestMinimizeOverStates:
         x = rng.normal(size=2 * d)
         x /= np.linalg.norm(x)
         cfg = SolverConfig(tol=1e-5)
-        value, grad = sdp._search_objective(x, pv, cfg)
+        value, grad, newton_steps = sdp._search_objective(x, pv, cfg)
         h = 1e-4
         fd = np.array([
             (sdp._search_objective(x + h * e, pv, cfg)[0] - sdp._search_objective(x - h * e, pv, cfg)[0]) / (2 * h)
             for e in np.eye(2 * d)
         ])
         assert 0.0 < value <= 1.0
+        assert newton_steps > 0
         assert np.linalg.norm(grad) > 1e-3
         assert np.linalg.norm(grad - fd) <= 1e-2 * np.linalg.norm(grad)
+
+
+class TestBfgs:
+    @staticmethod
+    def _rayleigh(A, calls):
+        """x^T A x / x^T x and its gradient, recording each point in ``calls``.
+
+        The quotient is scale-invariant like the search's objective, so its
+        Hessian is singular along x at every point.
+        """
+        def fun(x):
+            calls.append(x)
+            f = x @ A @ x / (x @ x)
+            return f, 2.0 * (A @ x - f * x) / (x @ x)
+        return fun
+
+    def test_rayleigh_quotient_reaches_least_eigenvalue(self, rng):
+        A = random_hermitian(rng, 6).real
+        fun = self._rayleigh(A, [])
+        x, value, iterations = sdp._bfgs(fun, rng.normal(size=6), ftol=0.0)
+        f, g = fun(x)
+        assert value == f and value - np.linalg.eigvalsh(A)[0] <= 1e-9
+        assert np.max(np.abs(g)) <= sdp._GTOL
+        assert 0 < iterations < 200 * 6
+
+    def test_stops_where_the_value_cannot_resolve_the_decrease(self, rng):
+        A = random_hermitian(rng, 4).real
+        x0 = rng.normal(size=4)
+        loose_calls, tight_calls = [], []
+        _, loose, _ = sdp._bfgs(self._rayleigh(A, loose_calls), x0, ftol=1e-6)
+        _, tight, _ = sdp._bfgs(self._rayleigh(A, tight_calls), x0, ftol=0.0)
+        assert loose - np.linalg.eigvalsh(A)[0] <= 1e-5
+        assert tight <= loose and len(loose_calls) < len(tight_calls)
+
+    def test_search_matches_scipy_bfgs(self, monkeypatch):
+        # scipy's BFGS, the search's optimizer before the in-house one, as an oracle
+        from scipy.optimize import minimize
+
+        rng = np.random.default_rng(2406)
+        povms = [random_qubit_two_outcome(rng), random_qubit_two_outcome(rng),
+                 Povm(tuple(random_povm(rng, 2, 3))), Povm(tuple(random_povm(rng, 2, 4))),
+                 Povm(tuple(random_povm(rng, 3, 3))), noisy_projective(3, 0.2)]
+        cfg = SolverConfig(multistarts=2)
+        values = [minimize_over_states(pv, cfg).value for pv in povms]
+
+        def scipy_bfgs(fun, x0, ftol):
+            res = minimize(fun, x0, jac=True, method="BFGS")
+            return res.x, float(res.fun), res.nit
+
+        monkeypatch.setattr(sdp, "_bfgs", scipy_bfgs)
+        for pv, value in zip(povms, values):
+            assert value <= minimize_over_states(pv, cfg).value + 1e-6
 
 
 class TestSolverConfig:

@@ -1,7 +1,8 @@
-"""scipy is loaded only by the SDP solves and the state search.
+"""scipy is loaded only by the SDP solves, and then only scipy.linalg.
 
 The closed forms and the entropy chain never solve an SDP, so a process that
-only runs them must not pay scipy's import time.  Each case runs in a fresh
+only runs them must not pay scipy's import time.  The state search runs its
+own BFGS, so no path loads scipy.optimize.  Each case runs in a fresh
 interpreter, because the test process itself has long since imported scipy.
 """
 
@@ -72,3 +73,12 @@ def test_fixed_state_solve_loads_only_scipy_linalg():
         "solve_primal(noisy_projective(2, 0.3), unbiased_state(2))\n"
     )
     assert loaded_after(code) == {"scipy.linalg": True, "scipy.optimize": False}
+
+
+def test_state_search_loads_only_scipy_linalg(tmp_path):
+    povm = tmp_path / "povm.json"
+    povm.write_text(json.dumps(jsonio.povm_to_json(noisy_projective(2, 0.3))))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"multistarts": 0}))
+    argv = ["compute", str(povm), "--minimize-state", "--solver-config", str(config)]
+    assert loaded_after(run_cli(argv)) == {"scipy.linalg": True, "scipy.optimize": False}
