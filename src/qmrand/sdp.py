@@ -34,20 +34,25 @@ The slack Y_x - G_j - d_xj P_phi is formed only by ``_slacks``,
 multipliers become (Y, G) only through ``_Structure.dual``, and (Y, G) become
 a certificate only through ``_dual_certificate``.  Every affine step (Newton
 step, drift correction, face rounding, dual polish) is one least-squares
-solve, ``_multipliers``, differing only in the scaling Phi, the gradient and
-the primal residual.  Its normal matrix is factored densely below
-m n d^2 = 256 real variables, where Python call overhead dominates, and from
-there on by eliminating the outcome blocks first, leaving a Schur complement
-of size (n-1)(d^2-1) (Fujisawa, Kojima and Nakata 1997; SDPT3) with the
-per-outcome solves batched.  Either factor feeds one corrected seminormal
-sweep (Bjorck 1987); a factor that ``_cholesky_lower`` finds singular up to
-rounding sends the solve to the one minimum-norm ``lstsq`` fallback.
-Each block's scaling Phi is one real matrix product (``_sandwich``).  The line
-search reads the step's exact effect on log det K from the eigenvalues of the
-scaled step, so it factors nothing and never forms a barrier value.  A stage
-stops at its tolerance or, as the barrier is self-concordant, once a step from
-lam2 < 1/16 fails to cut the squared decrement 4x: such a step moves only
-rounding, wherever the float floor of the decrement lies.
+solve, differing only in the scaling Phi, the gradient and the primal
+residual: ``_factored`` factors the normal matrix of one Phi and returns its
+solve, and ``_multipliers`` is that factor and one solve.  The normal matrix
+is factored densely below m n d^2 = 256 real variables, where Python call
+overhead dominates, and from there on by eliminating the outcome blocks
+first, leaving a Schur complement of size (n-1)(d^2-1) (Fujisawa, Kojima and
+Nakata 1997; SDPT3) with the per-outcome solves batched.  Either factor feeds
+one corrected seminormal sweep (Bjorck 1987); a factor that
+``_cholesky_lower`` finds singular up to rounding sends the solve to the one
+minimum-norm ``lstsq`` fallback.  The barrier path factors each Phi once: a
+stage change and the drift correction reuse the factor.  Each block's
+scaling Phi is one real matrix product (``_sandwich``).  The step length
+minimises the step's exact change of the barrier, read from the eigenvalues
+of the scaled step, by damped Newton in one variable, so it factors nothing
+and never forms a barrier value; from a squared decrement lam2 < 1/16 it is
+the full step.  A stage stops at its tolerance or, as the barrier is
+self-concordant, once a full step from lam2 < 1/16 fails to cut lam2 4x:
+such a step moves only rounding, wherever the float floor of the decrement
+lies.
 
 scipy is imported inside the functions that use it, so that the closed-form
 and entropy paths, which never solve an SDP, do not pay its import time.
@@ -56,7 +61,7 @@ and entropy paths, which never solve an SDP, do not pay its import time.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -79,7 +84,6 @@ _MU0 = 1.0                   # barrier weight of the first centring stage
 _MU_GROWTH = 60.0
 _NEWTON_TOL = 1e-10          # squared-decrement/2 at the final barrier stage
 _NEWTON_TOL_PATH = 1e-5      # loose centering while t still grows
-_ARMIJO = 0.25
 _ROUND_STEPS = 8             # Gauss-Newton steps of the face rounding
 
 # Lower bound of each SolverConfig field and whether the bound itself is excluded.
@@ -464,18 +468,15 @@ def _schur_solver(st: _Structure, Phi: np.ndarray) -> tuple:
     return (lambda v: st.apply_A(phi_apply(v))), (lambda nu: phi_apply(st.apply_AT(nu))), solve
 
 
-def _multipliers(st: _Structure, Phi: np.ndarray, gtil: np.ndarray,
-                 r: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Solve min_nu ||Atil^T nu + gtil||, Atil = A Phi, and return (nu, residual).
+def _factored(st: _Structure, Phi: np.ndarray):
+    """Factor the normal matrix of Atil = A Phi once; return its solve(gtil, r=0.0) -> (nu, rtil).
 
-    With a primal residual ``r``, rtil = gtil + Atil^T nu also meets
-    Atil rtil = -r, so the step -Phi rtil adds r to A k; with gtil = 0 it is
-    the step s with A s = r of least norm ||Phi^-1 s||.  The normal matrix
     N = Atil Atil^T is factored densely as the Gram matrix plus ``gram_reg``,
     or from ``st.structured`` on by block elimination (``_schur_solver``),
-    and one sweep of the corrected seminormal equations follows (Bjorck
-    1987): a solve and one refinement.  When N is singular up to rounding
-    (``_cholesky_lower``), nu is the minimum-norm solution instead.
+    and the solve is the corrected seminormal sweep on that factor
+    (``_seminormal``).  When N is singular up to rounding
+    (``_cholesky_lower``), the solve returns the minimum-norm nu instead.
+    A solve serves every gradient and residual at this Phi.
     """
     from scipy.linalg.lapack import dpotrs
 
@@ -490,14 +491,38 @@ def _multipliers(st: _Structure, Phi: np.ndarray, gtil: np.ndarray,
             def solve(rhs: np.ndarray) -> np.ndarray:
                 return dpotrs(fac, rhs, lower=1)[0]
     except np.linalg.LinAlgError:
-        # The least-norm z with Atil z = r is the part of -rtil that meets r.
         Atil = _scaled_constraints(st, Phi)
-        z = np.linalg.lstsq(Atil, r, rcond=None)[0] if np.any(r) else 0.0
-        nu = np.linalg.lstsq(Atil.T, -(gtil + z), rcond=None)[0]
-        return nu, gtil + Atil.T @ nu
+
+        def min_norm(gtil: np.ndarray, r: np.ndarray | float = 0.0) -> tuple:
+            # The least-norm z with Atil z = r is the part of -rtil that meets r.
+            z = np.linalg.lstsq(Atil, r, rcond=None)[0] if np.any(r) else 0.0
+            nu = np.linalg.lstsq(Atil.T, -(gtil + z), rcond=None)[0]
+            return nu, gtil + Atil.T @ nu
+
+        return min_norm
+    return partial(_seminormal, fwd, back, solve)
+
+
+def _seminormal(fwd, back, solve, gtil: np.ndarray,
+                r: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """One sweep of the corrected seminormal equations (Bjorck 1987): a solve with the
+    factor of N = Atil Atil^T and one refinement, for (nu, rtil = gtil + Atil^T nu)."""
     nu = solve(-(fwd(gtil) + r))
     nu = nu - solve(fwd(gtil + back(nu)) + r)
     return nu, gtil + back(nu)
+
+
+def _multipliers(st: _Structure, Phi: np.ndarray, gtil: np.ndarray,
+                 r: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Solve min_nu ||Atil^T nu + gtil||, Atil = A Phi, and return (nu, residual).
+
+    With a primal residual ``r``, rtil = gtil + Atil^T nu also meets
+    Atil rtil = -r, so the step -Phi rtil adds r to A k; with gtil = 0 it is
+    the step s with A s = r of least norm ||Phi^-1 s||.  One factorization
+    (``_factored``) and one solve; ``_barrier_path`` keeps the factored
+    system for every solve at one Phi.
+    """
+    return _factored(st, Phi)(gtil, r)
 
 
 def _dual_certificate(st: _Structure, Y: list, G: list, proj: np.ndarray,
@@ -531,6 +556,46 @@ def _dual_certificate(st: _Structure, Y: list, G: list, proj: np.ndarray,
     return DualCertificate(tuple(Y), cert.G)
 
 
+def _step_length(mu: np.ndarray, lam2: float) -> float:
+    """The step length that minimises the barrier along a Newton step.
+
+    For the eigenvalues mu of the scaled step X = mats(rtil), whose squares
+    sum to lam2, the barrier moves by phi(a) = -a (lam2 + sum mu) -
+    sum log(1 - a mu) (see ``_barrier_path``), with phi'(0) = -lam2 and
+    phi''(0) = lam2.  From lam2 < 1/16 the full step a = 1 is taken: every
+    |mu| < 1/4, so it stays inside the cone, and the stage stop rule relies on
+    it.  Otherwise a is the minimiser of phi on (0, 0.9 / max mu]: the cap
+    itself when phi'(cap) <= 0, else found by damped Newton on phi, which is
+    self-concordant (Nesterov and Nemirovski 1994).  Each iterate
+    a -= delta / (1 + |delta| sqrt phi''), delta = phi' / phi'', stays inside
+    the cone and lowers phi; the first one from a = 0 is 1 / (1 + sqrt lam2),
+    and the search stops once |phi'| <= lam2 / 100, a hundredth of its slope
+    at 0.  A non-finite mu raises ``SolverError``: no step length mends such
+    a step.
+    """
+    if not np.all(np.isfinite(mu)):
+        raise SolverError(f"line search found no step into the cone "
+                          f"(newton decrement^2={lam2:.3e})")
+    if lam2 < 1.0 / 16.0:
+        return 1.0
+    top = mu.max()
+    cap = 0.9 / top if top > 0.0 else np.inf
+    slope = lam2 + mu.sum()
+    if top > 0.0 and np.sum(mu / (1.0 - cap * mu)) <= slope:   # phi'(cap) <= 0
+        return cap
+    alpha = 1.0 / (1.0 + np.sqrt(lam2))
+    # The test draws take at most 24 iterates; one cut short still has phi < 0.
+    for _ in range(50):
+        q = mu / (1.0 - alpha * mu)
+        grad = q.sum() - slope
+        if abs(grad) <= 0.01 * lam2:
+            break
+        curvature = float(q @ q)
+        delta = grad / curvature
+        alpha = min(alpha - delta / (1.0 + abs(delta) * np.sqrt(curvature)), cap)
+    return alpha
+
+
 def _barrier_path(
     st: _Structure, povm: Povm, b: np.ndarray, c: np.ndarray, k0: np.ndarray,
     proj: np.ndarray, cfg: SolverConfig,
@@ -545,8 +610,8 @@ def _barrier_path(
     step stays definite while alpha max mu < 1 and moves the barrier by
     -alpha (lam2 + sum mu) - sum log(1 - alpha mu): the log det part exactly,
     the linear part as the Newton model's slope, since late in the path
-    t c.Delta is neither exact nor resolvable beside t c.k.  alpha halves
-    from 1 until that passes Armijo.
+    t c.Delta is neither exact nor resolvable beside t c.k.  alpha minimises
+    that change (``_step_length``), and is 1 from lam2 < 1/16.
 
     A stage stops at lam2 / 2 <= ``_NEWTON_TOL_PATH``, or ``_NEWTON_TOL``
     once t = t_final, or when a step from lam2 < 1/16 cut lam2 by less than
@@ -554,24 +619,29 @@ def _barrier_path(
     and Vandenberghe 2004, 9.6), so from lam < 1/4 a full step leaves
     lam2+ <= lam2^2 / (1 - lam)^4 < lam2 / 5: a smaller cut means the steps
     move only rounding.  Then t grows by ``_MU_GROWTH`` up to t_final, where
-    the gap bound m n d / t is a quarter of cfg.tol, and the next step reuses
-    Phi.  More than cfg.max_iters Newton steps, or a step the line search
-    cannot shorten into the cone, raises ``SolverError``.
+    the gap bound m n d / t is a quarter of cfg.tol.  More than cfg.max_iters
+    Newton steps, or a non-finite step, raises ``SolverError``.
+
+    Each Phi is factored once (``_factored``): the next stage and the drift
+    correction reuse the factored system, and it is dropped before the step,
+    so one factorization's arrays are alive at a time.  A solve with
+    polish=False thus factors iterations + 1 times.
 
     Rounding leaves the last centre slightly off A k = b; the correction is
-    the least-norm step s onto it in the barrier's metric (``_multipliers``
-    with gtil = 0), which keeps K definite while ||Phi^-1 s|| < 1 (the Dikin
-    ellipsoid).  Returns (k, cert, value, dual_value, iterations).
+    the least-norm step s onto it in the barrier's metric (gtil = 0), which
+    keeps K definite while ||Phi^-1 s|| < 1 (the Dikin ellipsoid).  Returns
+    (k, cert, value, dual_value, iterations).
     """
     nblocks, dd = st.nblocks, st.dd
     cblocks = c.reshape(nblocks, dd, 1)
     t_final = st.m * st.n * st.d / (0.25 * cfg.tol)
     t, k, iters, lam2_prev = _MU0, k0, 0, np.inf
     Phi = _scaling(st, k)
+    system = _factored(st, Phi)
     while True:
         # Scaled gradient: Phi g = -t Phi c - coords(P), the identity of each face.
         gtil = (-t * (Phi @ cblocks)[:, :, 0] - st.eye_coords).reshape(st.nvar)
-        nu, rtil = _multipliers(st, Phi, gtil)
+        nu, rtil = system(gtil)
         lam2 = float(np.dot(rtil, rtil))
         final = t >= t_final
         if (lam2 / 2.0 <= (_NEWTON_TOL if final else _NEWTON_TOL_PATH)
@@ -581,27 +651,19 @@ def _barrier_path(
             t, lam2_prev = min(t * _MU_GROWTH, t_final), np.inf
             continue
         lam2_prev = lam2
+        system = None   # the next Phi's factor is formed after the step
         # eigvalsh fails on a non-finite matrix, and no step length mends such a step.
-        mu = (np.linalg.eigvalsh(st.mats(rtil.reshape(nblocks, dd))) if np.isfinite(lam2)
+        mu = (np.linalg.eigvalsh(st.mats(rtil.reshape(nblocks, dd))).ravel() if np.isfinite(lam2)
               else np.array([np.nan]))
-        # Armijo on the barrier's change, its curvature terms -a mu - log(1 - a mu) >= 0
-        # summed apart from the slope.  60 halvings suffice up to lam2 near 1e36.
-        alpha = 1.0
-        for _ in range(60):
-            if alpha * mu.max() < 1.0 and (np.sum(-alpha * mu - np.log1p(-alpha * mu))
-                                           <= (1.0 - _ARMIJO) * alpha * lam2):
-                break
-            alpha *= 0.5
-        else:
-            raise SolverError(f"line search found no step into the cone (t={t:.3e}, "
-                              f"newton decrement^2={lam2:.3e})")
+        alpha = _step_length(mu, lam2)
         k = k - alpha * (Phi @ rtil.reshape(nblocks, dd, 1))[:, :, 0]
         iters += 1
         if iters > cfg.max_iters:
             raise SolverError(f"interior-point iteration cap {cfg.max_iters} exceeded "
                               f"(t={t:.3e}, newton decrement^2={lam2:.3e})")
         Phi = _scaling(st, k)
-    rtil = _multipliers(st, Phi, np.zeros(st.nvar), b - st.apply_A(k))[1]
+        system = _factored(st, Phi)
+    rtil = system(np.zeros(st.nvar), b - st.apply_A(k))[1]
     k = k - (Phi @ rtil.reshape(nblocks, dd, 1))[:, :, 0]
     # At the central point -t c - svec(K^-1) + A^T nu = 0 on the faces, so nu / t
     # are dual multipliers.

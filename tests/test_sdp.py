@@ -119,7 +119,7 @@ class TestSolvePrimal:
     @pytest.mark.parametrize("d, eps", [(6, 1e-6), (8, 0.5)])
     def test_large_noisy_projective_brackets_closed_form(self, monkeypatch, d, eps):
         # t of every path step, read back from its scaled gradient gtil = -t Phi c - eye
-        ts, in_path, path, multipliers = [], [], sdp._barrier_path, sdp._multipliers
+        ts, in_path, path, factored = [], [], sdp._barrier_path, sdp._factored
 
         def traced_path(*args):
             in_path.append(True)
@@ -127,16 +127,21 @@ class TestSolvePrimal:
             in_path.clear()
             return out
 
-        def traced_multipliers(st, Phi, gtil, r=0.0):
-            if in_path and np.any(gtil):   # not the drift step, whose gtil is 0
-                c = np.zeros((st.m, st.n, st.dd))
-                c[range(d), range(d)] = st.coords(unbiased_state(d).projector())
-                u = (Phi @ c.reshape(st.nblocks, st.dd, 1)).reshape(st.nvar)
-                ts.append(-np.dot(gtil + st.eye_coords.ravel(), u) / np.dot(u, u))
-            return multipliers(st, Phi, gtil, r)
+        def traced_factored(st, Phi):
+            solve = factored(st, Phi)
+
+            def traced_solve(gtil, r=0.0):
+                if in_path and np.any(gtil):   # not the drift step, whose gtil is 0
+                    c = np.zeros((st.m, st.n, st.dd))
+                    c[range(d), range(d)] = st.coords(unbiased_state(d).projector())
+                    u = (Phi @ c.reshape(st.nblocks, st.dd, 1)).reshape(st.nvar)
+                    ts.append(-np.dot(gtil + st.eye_coords.ravel(), u) / np.dot(u, u))
+                return solve(gtil, r)
+
+            return traced_solve
 
         monkeypatch.setattr(sdp, "_barrier_path", traced_path)
-        monkeypatch.setattr(sdp, "_multipliers", traced_multipliers)
+        monkeypatch.setattr(sdp, "_factored", traced_factored)
         pstar = pguess_star_noisy_projective(NoiseModel(d, eps)).pguess
         res = solve_primal(noisy_projective(d, eps), unbiased_state(d))
         assert not res.restored
@@ -216,18 +221,20 @@ class TestTightTolerance:
         # d, m in 2..4; before the drift correction every one of these hit the
         # iteration cap or the gap gate at this tolerance.  The line search on the
         # difference of two barrier values near t c.k stalled the damped phase:
-        # 1167 steps in all, 878 since it reads the step's eigenvalues.
+        # 1167 steps in all, 878 with Armijo halving on the step's eigenvalues, 595
+        # since the step length minimises the barrier along the step.
         steps = sum(_assert_verified_bracket(pv, state, 1e-8)
                     for pv, state in _random_problems(5, 20, (2, 5), (2, 5)))
-        assert steps <= 1000
+        assert steps <= 700
 
     def test_large_random_draw_verifies_at_1e_9(self):
         # d = 5-7.  While the final stage stopped at rounding only below lam2 = 1e-6,
         # higher floors left six of these spinning for 107-116 steps and two raising
-        # SolverError (774 steps in all for 8 verified)
+        # SolverError (774 steps in all for 8 verified); Armijo halving took 566 steps,
+        # the step length that minimises the barrier along the step takes 392
         steps = sum(_assert_verified_bracket(pv, state, 1e-9)
                     for pv, state in _random_problems(21, 10, (5, 8), (2, 6)))
-        assert steps <= 650
+        assert steps <= 450
 
     def test_large_random_povm_brackets_at_default(self):
         # d = 7, m = 5: the barrier path once ended with a certified gap of 6.5e-4
@@ -385,16 +392,68 @@ class TestNewtonSystem:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_step_raises(self, monkeypatch, bad):
         # no step length mends a non-finite step: the line search runs out and says so
-        multipliers = sdp._multipliers
+        factored = sdp._factored
 
-        def broken(st, Phi, gtil, r=0.0):
-            nu, rtil = multipliers(st, Phi, gtil, r)
-            rtil[0] = bad
-            return nu, rtil
+        def broken(st, Phi):
+            solve = factored(st, Phi)
 
-        monkeypatch.setattr(sdp, "_multipliers", broken)
+            def broken_solve(gtil, r=0.0):
+                nu, rtil = solve(gtil, r)
+                rtil[0] = bad
+                return nu, rtil
+
+            return broken_solve
+
+        monkeypatch.setattr(sdp, "_factored", broken)
         with pytest.raises(SolverError, match="line search found no step"):
             solve_primal(noisy_projective(2, 0.3), unbiased_state(2))
+
+    def test_step_length_minimises_the_barrier_along_the_step(self):
+        # phi(a) = -a (lam2 + sum mu) - sum log(1 - a mu) is the step's barrier change
+        rng = np.random.default_rng(25)
+        at_cap = 0
+        for _ in range(200):
+            # lam2 from 0.4 to 6e5, about where the steps after a rise of t land
+            mu = 10.0 ** rng.uniform(-1.0, 2.0) * rng.normal(size=rng.integers(4, 100))
+            lam2 = float(mu @ mu)
+            assert lam2 >= 1.0 / 16.0 and mu.min() < 0.0 < mu.max()
+            alpha = sdp._step_length(mu, lam2)
+            cap = 0.9 / mu.max()
+            assert 0.0 < alpha <= cap
+            assert -alpha * (lam2 + mu.sum()) - np.sum(np.log1p(-alpha * mu)) < 0.0
+            grad = np.sum(mu / (1.0 - alpha * mu)) - (lam2 + mu.sum())   # phi'(alpha)
+            assert abs(grad) <= 1e-2 * lam2 or alpha == cap
+            at_cap += alpha == cap
+        assert 0 < at_cap < 200   # both the cap and the interior minimiser are drawn
+
+    def test_step_length_is_full_below_a_sixteenth(self):
+        rng = np.random.default_rng(26)
+        for _ in range(20):
+            mu = rng.normal(size=rng.integers(4, 300))
+            mu *= rng.uniform(0.0, 0.2499) / np.linalg.norm(mu)
+            assert sdp._step_length(mu, float(mu @ mu)) == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_step_length_rejects_a_non_finite_step(self, bad):
+        mu = np.array([0.5, -0.3, bad, 2.0])
+        with pytest.raises(SolverError, match="line search found no step"):
+            sdp._step_length(mu, 4.34)
+
+    @pytest.mark.parametrize("d, m", [(3, 3), (5, 4)])
+    def test_one_factorization_per_scaling(self, monkeypatch, d, m):
+        # dense at d = m = 3, Schur complement at d = 5, m = 4: a stage change and the
+        # drift step reuse the factor of their Phi, so each Newton step adds one
+        rng = np.random.default_rng(d)
+        pv = Povm(tuple(random_povm(rng, d, m)))
+        state = PureState(random_state_vector(rng, d))
+        st = sdp._structure(d, m, m)
+        assert st.structured == (d == 5)
+        calls = _factor_calls(monkeypatch)
+        res = solve_primal(pv, state, polish=False)
+        assert res.iterations > 0
+        assert len(calls) == res.iterations + 1
+        factored = (st.group2_start if st.structured else st.ncon,) * 2
+        assert all(call == (factored, 0) for call in calls)
 
     @pytest.mark.parametrize("d", [5, 6])
     @pytest.mark.parametrize("m", [2, 3, 4])
