@@ -35,9 +35,9 @@ multipliers become (Y, G) only through ``_Structure.dual``, and (Y, G) become
 a certificate only through ``_dual_certificate``.  Every affine step (Newton
 step, drift correction, face rounding, dual polish) is one least-squares
 solve, differing only in the scaling Phi, the gradient and the primal
-residual: ``_factored`` factors the normal matrix of one Phi and returns its
-solve, and ``_multipliers`` is that factor and one solve.  The normal matrix
-is factored densely below m n d^2 = 256 real variables, where Python call
+residual: ``_factored``, the one entry to the Newton system, factors the
+normal matrix of one Phi and returns its solve.  The normal matrix is
+factored densely below m n d^2 = 256 real variables, where Python call
 overhead dominates, and from there on by eliminating the outcome blocks
 first, leaving a Schur complement of size (n-1)(d^2-1) (Fujisawa, Kojima and
 Nakata 1997; SDPT3) with the per-outcome solves batched.  Either factor feeds
@@ -45,14 +45,15 @@ one corrected seminormal sweep (Bjorck 1987); a factor that
 ``_cholesky_lower`` finds singular up to rounding sends the solve to the one
 minimum-norm ``lstsq`` fallback.  The barrier path factors each Phi once: a
 stage change and the drift correction reuse the factor.  Each block's
-scaling Phi is one real matrix product (``_sandwich``).  The step length
+scaling Phi is one real matrix product (``_sandwich``).  A non-finite
+squared decrement lam2 raises ``SolverError`` as soon as it is computed, so
+neither the step length nor the stop rule ever reads one.  The step length
 minimises the step's exact change of the barrier, read from the eigenvalues
 of the scaled step, by damped Newton in one variable, so it factors nothing
-and never forms a barrier value; from a squared decrement lam2 < 1/16 it is
-the full step.  A stage stops at its tolerance or, as the barrier is
-self-concordant, once a full step from lam2 < 1/16 fails to cut lam2 4x:
-such a step moves only rounding, wherever the float floor of the decrement
-lies.
+and never forms a barrier value; from lam2 < 1/16 it is the full step.  A
+stage stops at its tolerance or, as the barrier is self-concordant, once a
+full step from lam2 < 1/16 fails to cut lam2 4x: such a step moves only
+rounding, wherever the float floor of the decrement lies.
 
 scipy is imported inside the functions that use it, so that the closed-form
 and entropy paths, which never solve an SDP, do not pay its import time.
@@ -60,7 +61,7 @@ and entropy paths, which never solve an SDP, do not pay its import time.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property, partial
 
 import numpy as np
@@ -105,9 +106,6 @@ class SolverConfig:
 
     def __post_init__(self):
         check_bounds(self, _CONFIG_BOUNDS)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SolverConfig":
@@ -471,6 +469,11 @@ def _schur_solver(st: _Structure, Phi: np.ndarray) -> tuple:
 def _factored(st: _Structure, Phi: np.ndarray):
     """Factor the normal matrix of Atil = A Phi once; return its solve(gtil, r=0.0) -> (nu, rtil).
 
+    The solve minimises ||Atil^T nu + gtil|| and returns nu and the residual
+    rtil = gtil + Atil^T nu.  With a primal residual ``r``, rtil also meets
+    Atil rtil = -r, so the step -Phi rtil adds r to A k; with gtil = 0 it is
+    the step s with A s = r of least norm ||Phi^-1 s||.
+
     N = Atil Atil^T is factored densely as the Gram matrix plus ``gram_reg``,
     or from ``st.structured`` on by block elimination (``_schur_solver``),
     and the solve is the corrected seminormal sweep on that factor
@@ -510,19 +513,6 @@ def _seminormal(fwd, back, solve, gtil: np.ndarray,
     nu = solve(-(fwd(gtil) + r))
     nu = nu - solve(fwd(gtil + back(nu)) + r)
     return nu, gtil + back(nu)
-
-
-def _multipliers(st: _Structure, Phi: np.ndarray, gtil: np.ndarray,
-                 r: np.ndarray | float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Solve min_nu ||Atil^T nu + gtil||, Atil = A Phi, and return (nu, residual).
-
-    With a primal residual ``r``, rtil = gtil + Atil^T nu also meets
-    Atil rtil = -r, so the step -Phi rtil adds r to A k; with gtil = 0 it is
-    the step s with A s = r of least norm ||Phi^-1 s||.  One factorization
-    (``_factored``) and one solve; ``_barrier_path`` keeps the factored
-    system for every solve at one Phi.
-    """
-    return _factored(st, Phi)(gtil, r)
 
 
 def _dual_certificate(st: _Structure, Y: list, G: list, proj: np.ndarray,
@@ -570,12 +560,8 @@ def _step_length(mu: np.ndarray, lam2: float) -> float:
     a -= delta / (1 + |delta| sqrt phi''), delta = phi' / phi'', stays inside
     the cone and lowers phi; the first one from a = 0 is 1 / (1 + sqrt lam2),
     and the search stops once |phi'| <= lam2 / 100, a hundredth of its slope
-    at 0.  A non-finite mu raises ``SolverError``: no step length mends such
-    a step.
+    at 0.  mu is finite: ``_barrier_path`` raises on a non-finite lam2 first.
     """
-    if not np.all(np.isfinite(mu)):
-        raise SolverError(f"line search found no step into the cone "
-                          f"(newton decrement^2={lam2:.3e})")
     if lam2 < 1.0 / 16.0:
         return 1.0
     top = mu.max()
@@ -619,8 +605,10 @@ def _barrier_path(
     and Vandenberghe 2004, 9.6), so from lam < 1/4 a full step leaves
     lam2+ <= lam2^2 / (1 - lam)^4 < lam2 / 5: a smaller cut means the steps
     move only rounding.  Then t grows by ``_MU_GROWTH`` up to t_final, where
-    the gap bound m n d / t is a quarter of cfg.tol.  More than cfg.max_iters
-    Newton steps, or a non-finite step, raises ``SolverError``.
+    the gap bound m n d / t is a quarter of cfg.tol.  A non-finite lam2 raises
+    ``SolverError`` before the stop rule reads it, since no step length mends
+    such a step and no stop rule may take it for rounding; so does a step
+    beyond cfg.max_iters.
 
     Each Phi is factored once (``_factored``): the next stage and the drift
     correction reuse the factored system, and it is dropped before the step,
@@ -643,6 +631,9 @@ def _barrier_path(
         gtil = (-t * (Phi @ cblocks)[:, :, 0] - st.eye_coords).reshape(st.nvar)
         nu, rtil = system(gtil)
         lam2 = float(np.dot(rtil, rtil))
+        if not np.isfinite(lam2):
+            raise SolverError(f"line search found no step into the cone "
+                              f"(newton decrement^2={lam2:.3e})")
         final = t >= t_final
         if (lam2 / 2.0 <= (_NEWTON_TOL if final else _NEWTON_TOL_PATH)
                 or (lam2_prev < 1.0 / 16.0 and lam2 > lam2_prev / 4.0)):
@@ -652,9 +643,7 @@ def _barrier_path(
             continue
         lam2_prev = lam2
         system = None   # the next Phi's factor is formed after the step
-        # eigvalsh fails on a non-finite matrix, and no step length mends such a step.
-        mu = (np.linalg.eigvalsh(st.mats(rtil.reshape(nblocks, dd))).ravel() if np.isfinite(lam2)
-              else np.array([np.nan]))
+        mu = np.linalg.eigvalsh(st.mats(rtil.reshape(nblocks, dd))).ravel()
         alpha = _step_length(mu, lam2)
         k = k - alpha * (Phi @ rtil.reshape(nblocks, dd, 1))[:, :, 0]
         iters += 1
@@ -683,7 +672,7 @@ def _round_primal(
     rank d - rank(Z[x][j]); ``slacks`` are those the faces see, whose
     eigenvalue 1 off a face drops the eigenvalue -1 of K - (I - P).
     Gauss-Newton on that fixed-rank set restores A k = b (Absil, Mahony and
-    Sepulchre 2008, ch. 8): each step is ``_multipliers`` with Phi the
+    Sepulchre 2008, ch. 8): each step is one ``_factored`` solve with Phi the
     projection X -> P X P - D X D onto the tangent space, D projecting onto
     each block's dropped eigenvectors on its face, and a truncation follows.
     This is the polish's one choice of face: (k, value, Q) is returned, Q
@@ -707,7 +696,7 @@ def _round_primal(
         Vd = V * (drop & on_face)[:, None, :]
         D = Vd @ Vd.conj().swapaxes(1, 2)
         Phi = st.S - _sandwich(st, D, D)
-        rtil = _multipliers(st, Phi, np.zeros(st.nvar), r)[1]
+        rtil = _factored(st, Phi)(np.zeros(st.nvar), r)[1]
         kv = kv - (Phi @ rtil.reshape(st.nblocks, st.dd, 1))[:, :, 0]
     feas = max_abs(r)
     min_eig = float(np.min(np.linalg.eigvalsh(st.mats(kv))))
@@ -734,7 +723,7 @@ def _round_dual(
     # part, so the matrices of X -> Q X P and X -> P X Q agree.
     Phi = (1.0 - np.sqrt(2.0)) * _sandwich(st, Q, Q) + np.sqrt(2.0) * _sandwich(st, Q, st.P)
     gtil = -(Phi @ c.reshape(st.nblocks, st.dd, 1)).reshape(st.nvar)
-    Y, G = st.dual(_multipliers(st, Phi, gtil)[0])
+    Y, G = st.dual(_factored(st, Phi)(gtil)[0])
     return _dual_certificate(st, Y, G, proj, tol)
 
 
@@ -1025,12 +1014,12 @@ def minimize_over_states(povm: Povm, config: SolverConfig | None = None) -> Stat
     A start whose solve fails ends there and is left out.  The returned value
     is re-solved at full precision at the best state; the result is flagged
     not converged when only a single start came within 1e-4 of it.
-    ``records`` holds one ``StartRecord`` per start, in start order.
+    ``records`` holds one ``StartRecord`` per start, in start order.  The
+    search's one dimension limit is ``solve_primal``'s, whose
+    ``ValidationError`` the first solve raises.
     """
     cfg = config or SolverConfig()
     d = povm.dim
-    if d > 4:
-        raise ValidationError("state search supports d <= 4 at the default budget")
     rng = np.random.default_rng(cfg.seed)
     search_cfg = replace(cfg, tol=max(cfg.tol, 1e-5))
 

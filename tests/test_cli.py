@@ -72,6 +72,14 @@ class TestCompute:
         overlaps = [a[0] ** 2 + a[1] ** 2 for a in rep["minimized"]["state"]["amplitudes"]]
         assert np.allclose(overlaps, 1 / 3, atol=1e-3)
 
+    def test_minimize_state_beyond_the_solver_limit_exit_2(self, files, capsys):
+        # the search meets the solver's dimension limit on its first solve
+        tmp, write = files
+        povm = write("povm.json", jsonio.povm_to_json(noisy_projective(9, 0.3)))
+        code = main(["compute", povm, "--minimize-state"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT and "d <= 8" in err and "Traceback" not in err
+
     def test_malformed_json_exit_2(self, files, capsys):
         tmp, write = files
         bad = tmp / "bad.json"

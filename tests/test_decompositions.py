@@ -173,6 +173,16 @@ class TestBlochWitness:
         assert abs(bw.z) < 1e-14
         assert abs(bw.guess_value - 1.0) < 1e-12
 
+    def test_zero_first_element(self, rng):
+        # M_1 = 0: Eve always guesses the second outcome
+        pv = Povm((np.zeros((2, 2)), np.eye(2)))
+        st = random_pure(rng, 2)
+        bw = bloch_decomposition_qubit(pv, st)
+        assert bw.tr_m1 == 0.0 and bw.guess_value == 1.0
+        dec = bw.to_decomposition()
+        assert verify_decomposition(dec, pv, 1e-12).passed
+        assert abs(dec.guess_value(st) - 1.0) < 1e-12
+
     def test_agrees_with_sqrt_at_unbiased_only(self, rng):
         # the two constructions coincide at the unbiased state; away from it
         # they are different (both valid) attacks

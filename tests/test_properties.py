@@ -57,9 +57,9 @@ def _compute(povm, state, tol) -> tuple[int, list]:
     returned or raised."""
     outcomes = []
 
-    def recording(problem, config=None, polish=True):
+    def recording(povm, state, config=None, polish=True):
         try:
-            outcomes.append(solve_primal(problem, config, polish))
+            outcomes.append(solve_primal(povm, state, config, polish))
         except Exception as exc:
             outcomes.append(exc)
             raise

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -184,6 +185,19 @@ class TestSolvePrimal:
         with pytest.raises(SolverError, match="above the certified dual value"):
             solve_primal(noisy_projective(2, 0.3), unbiased_state(2), polish=polish)
 
+    def test_gap_above_tolerance_raises(self, monkeypatch):
+        # a certificate that verifies but brackets the value only to 1e-3 fails the
+        # gap gate, 20 tol; without the polish nothing can tighten it
+        path = sdp._barrier_path
+
+        def loose_path(*args):
+            k, cert, value, dual_value, iters = path(*args)
+            return k, cert, value, dual_value + 1e-3, iters
+
+        monkeypatch.setattr(sdp, "_barrier_path", loose_path)
+        with pytest.raises(SolverError, match="certified duality gap 1.0"):
+            solve_primal(noisy_projective(2, 0.3), unbiased_state(2), polish=False)
+
 
 def _violating_report(decomp, povm, tol=1e-9):
     """A verification report with a reconstruction violation of 2e-8."""
@@ -323,7 +337,7 @@ def _assert_singular_takes_the_min_norm_solve(monkeypatch, st):
     for _ in range(20):
         Phi = _singular_scaling(rng, st)
         gtil = rng.normal(size=st.nvar)
-        nu, rtil = sdp._multipliers(st, Phi, gtil)
+        nu, rtil = sdp._factored(st, Phi)(gtil)
         ref, r_ref = _min_norm(st, Phi, gtil)
         assert np.allclose(nu, ref, rtol=0, atol=1e-10)
         assert np.allclose(rtil, r_ref, rtol=0, atol=1e-10)
@@ -369,7 +383,7 @@ class TestNewtonSystem:
         Phi = sdp._scaling(st, st.coords_of_stack(K))
         c = 0.1 * rng.normal(size=(st.nblocks, st.dd, 1))
         gtil = (-(Phi @ c)[:, :, 0] - st.eye_coords).reshape(st.nvar)
-        rtil = sdp._multipliers(st, Phi, gtil)[1].reshape(st.nblocks, st.dd)
+        rtil = sdp._factored(st, Phi)(gtil)[1].reshape(st.nblocks, st.dd)
         Delta = st.mats(-(Phi @ rtil[:, :, None])[:, :, 0])
         mu = np.linalg.eigvalsh(st.mats(rtil))
         assert 0.0 < mu.max() < 1.0
@@ -389,24 +403,37 @@ class TestNewtonSystem:
         with pytest.raises(SolverError, match="not positive definite"):
             sdp._scaling(st, st.coords_of_stack(K))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_step_raises(self, monkeypatch, bad):
-        # no step length mends a non-finite step: the line search runs out and says so
-        factored = sdp._factored
+    @pytest.mark.parametrize("bad, after_step", [
+        pytest.param(bad, after_step, id=f"{bad}-after-step" if after_step else f"{bad}")
+        for after_step in (False, True) for bad in (np.nan, np.inf, -np.inf)])
+    def test_non_finite_step_raises(self, monkeypatch, bad, after_step):
+        # One solve of the path returns a non-finite rtil.  No step length mends it,
+        # and it raises before the stage stop rule reads lam2: right after a full
+        # step from 2e-5 < lam2 < 1/16 (above the path's stage tolerance), lam2 = inf
+        # would pass the rule's "lam2 > lam2_prev / 4" and end the stage as if the
+        # decrement had reached its rounding floor.
+        factored, last, broken_at = sdp._factored, [np.inf], []
 
         def broken(st, Phi):
-            solve = factored(st, Phi)
+            solve, fresh = factored(st, Phi), [True]
 
             def broken_solve(gtil, r=0.0):
                 nu, rtil = solve(gtil, r)
-                rtil[0] = bad
+                first, fresh[0] = fresh[0], False
+                if not broken_at and first and (
+                        2e-5 < last[0] < 1.0 / 16.0 if after_step else last[0] == np.inf):
+                    broken_at.append(last[0])
+                    rtil[0] = bad
+                elif np.any(gtil):   # a gradient solve: lam2 of the step it leads to
+                    last[0] = float(rtil @ rtil)
                 return nu, rtil
 
             return broken_solve
 
         monkeypatch.setattr(sdp, "_factored", broken)
         with pytest.raises(SolverError, match="line search found no step"):
-            solve_primal(noisy_projective(2, 0.3), unbiased_state(2))
+            solve_primal(noisy_projective(3, 0.3), unbiased_state(3))
+        assert len(broken_at) == 1
 
     def test_step_length_minimises_the_barrier_along_the_step(self):
         # phi(a) = -a (lam2 + sum mu) - sum log(1 - a mu) is the step's barrier change
@@ -433,12 +460,6 @@ class TestNewtonSystem:
             mu *= rng.uniform(0.0, 0.2499) / np.linalg.norm(mu)
             assert sdp._step_length(mu, float(mu @ mu)) == 1.0
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_step_length_rejects_a_non_finite_step(self, bad):
-        mu = np.array([0.5, -0.3, bad, 2.0])
-        with pytest.raises(SolverError, match="line search found no step"):
-            sdp._step_length(mu, 4.34)
-
     @pytest.mark.parametrize("d, m", [(3, 3), (5, 4)])
     def test_one_factorization_per_scaling(self, monkeypatch, d, m):
         # dense at d = m = 3, Schur complement at d = 5, m = 4: a stage change and the
@@ -462,8 +483,8 @@ class TestNewtonSystem:
         Phi = _random_scaling(rng, st)
         gtil = rng.normal(size=st.nvar)
         for r in (np.zeros(st.ncon), rng.normal(size=st.ncon)):
-            nu_dense, r_dense = sdp._multipliers(dense, Phi, gtil, r)
-            nu, rtil = sdp._multipliers(st, Phi, gtil, r)
+            nu_dense, r_dense = sdp._factored(dense, Phi)(gtil, r)
+            nu, rtil = sdp._factored(st, Phi)(gtil, r)
             assert np.linalg.norm(nu - nu_dense) <= 1e-10 * np.linalg.norm(nu_dense)
             assert np.linalg.norm(rtil - r_dense) <= 1e-10 * np.linalg.norm(r_dense)
 
@@ -474,7 +495,7 @@ class TestNewtonSystem:
         assert st.structured == (d == 5)
         Phi = _random_scaling(rng, st)
         r = rng.normal(size=st.ncon)
-        rtil = sdp._multipliers(st, Phi, np.zeros(st.nvar), r)[1]
+        rtil = sdp._factored(st, Phi)(np.zeros(st.nvar), r)[1]
         step = -(Phi @ rtil.reshape(st.nblocks, st.dd, 1)).reshape(st.nvar)
         assert np.linalg.norm(st.apply_A(step) - r) <= 1e-10 * np.linalg.norm(r)
         Atil = sdp._scaled_constraints(st, Phi)
@@ -487,11 +508,11 @@ class TestNewtonSystem:
         Phi = _random_scaling(rng, st, shift=1.0)
         gtil = rng.normal(size=st.nvar)
         r = rng.normal(size=st.ncon)
-        nu_chol, r_chol = sdp._multipliers(st, Phi, gtil, r)
+        nu_chol, r_chol = sdp._factored(st, Phi)(gtil, r)
 
         # a factor that reports info > 0 takes the min-norm lstsq solve
         calls = _factor_calls(monkeypatch, fail=1)
-        nu, rtil = sdp._multipliers(st, Phi, gtil, r)
+        nu, rtil = sdp._factored(st, Phi)(gtil, r)
         ref, r_ref = _min_norm(st, Phi, gtil, r)
         assert calls == [((st.ncon, st.ncon), 1)]
         assert np.array_equal(nu, ref) and np.array_equal(rtil, r_ref)
@@ -507,9 +528,9 @@ class TestNewtonSystem:
         Phi = _random_scaling(rng, st)
         gtil = rng.normal(size=st.nvar)
         r = rng.normal(size=st.ncon)
-        nu_chol, r_chol = sdp._multipliers(_on_path(5, 3, False), Phi, gtil, r)
+        nu_chol, r_chol = sdp._factored(_on_path(5, 3, False), Phi)(gtil, r)
         calls = _factor_calls(monkeypatch, fail=1)
-        nu, rtil = sdp._multipliers(st, Phi, gtil, r)
+        nu, rtil = sdp._factored(st, Phi)(gtil, r)
         assert calls == [((st.group2_start,) * 2, 1)]
         ref, r_ref = _min_norm(st, Phi, gtil, r)
         assert np.array_equal(nu, ref) and np.array_equal(rtil, r_ref)
@@ -521,14 +542,14 @@ class TestNewtonSystem:
         st = _on_path(5, 3, True)
         Phi = _random_scaling(rng, st)
         gtil = rng.normal(size=st.nvar)
-        nu_chol, r_chol = sdp._multipliers(_on_path(5, 3, False), Phi, gtil)
+        nu_chol, r_chol = sdp._factored(_on_path(5, 3, False), Phi)(gtil)
 
         def not_pd(a):
             raise np.linalg.LinAlgError("not positive definite")
 
         monkeypatch.setattr(sdp.np.linalg, "cholesky", not_pd)
         calls = _factor_calls(monkeypatch)
-        nu, rtil = sdp._multipliers(st, Phi, gtil)
+        nu, rtil = sdp._factored(st, Phi)(gtil)
         assert calls == []
         ref, r_ref = _min_norm(st, Phi, gtil)
         assert np.array_equal(nu, ref) and np.array_equal(rtil, r_ref)
@@ -673,13 +694,13 @@ class TestDualPolish:
     def test_rank_deficient_multipliers_are_min_norm(self, monkeypatch, eps):
         st, c, _, Q, proj = _rounded_primal(monkeypatch, noisy_projective(2, eps),
                                             unbiased_state(2))
-        calls, multipliers = [], sdp._multipliers
-        monkeypatch.setattr(sdp, "_multipliers",
-                            lambda st, Phi, g: calls.append((Phi, g)) or (np.zeros(st.ncon), g))
+        calls, factored = [], sdp._factored
+        monkeypatch.setattr(sdp, "_factored", lambda st, Phi: (
+            lambda g: calls.append((Phi, g)) or (np.zeros(st.ncon), g)))
         sdp._round_dual(st, c, Q, proj, SolverConfig().tol)
         [(Phi, gtil)] = calls
         assert np.linalg.matrix_rank(sdp._scaled_constraints(st, Phi)) < st.ncon
-        nu, rtil = multipliers(st, Phi, gtil)
+        nu, rtil = factored(st, Phi)(gtil)
         ref, r_ref = _min_norm(st, Phi, gtil)
         assert np.allclose(nu, ref, rtol=0, atol=1e-10)
         assert np.allclose(rtil, r_ref, rtol=0, atol=1e-10)
@@ -830,9 +851,16 @@ class TestMinimizeOverStates:
         search = minimize_over_states(pv, SolverConfig(multistarts=1))
         assert abs(search.value - 1.0) < 1e-6
 
+    def test_searches_beyond_qudits_of_dimension_four(self):
+        # the search has no dimension limit of its own: Theorem 2 holds in every d
+        search = minimize_over_states(noisy_projective(5, 0.3), SolverConfig(multistarts=0))
+        ref = pguess_star_noisy_projective(NoiseModel(5, 0.3)).pguess
+        assert abs(search.value - ref) < 1e-9
+
     def test_dimension_cap(self):
-        with pytest.raises(ValidationError):
-            minimize_over_states(noisy_projective(5, 0.3))
+        # the solver's limit is the search's, met on its first solve
+        with pytest.raises(ValidationError, match="d <= 8"):
+            minimize_over_states(noisy_projective(9, 0.3))
 
     @staticmethod
     def _failing_solves(monkeypatch, fails):
@@ -937,6 +965,15 @@ class TestBfgs:
         assert loose - np.linalg.eigvalsh(A)[0] <= 1e-5
         assert tight <= loose and len(loose_calls) < len(tight_calls)
 
+    def test_moves_to_the_last_armijo_point_without_curvature(self, rng):
+        # on a linear function every trial passes Armijo and none the curvature
+        # condition, so the step doubles through all the line search's trials
+        a, x0 = rng.normal(size=4), rng.normal(size=4)
+        x, value, iterations = sdp._bfgs(lambda x: (a @ x, a), x0, ftol=1e-9)
+        alpha = min(1.0, 1.01 / np.linalg.norm(a)) * 2.0 ** (sdp._LINE_TRIALS - 1)
+        assert iterations == 1
+        assert np.allclose(x, x0 - alpha * a, rtol=1e-14, atol=0) and value == a @ x
+
     def test_search_matches_scipy_bfgs(self, monkeypatch):
         # scipy's BFGS, the search's optimizer before the in-house one, as an oracle
         from scipy.optimize import minimize
@@ -960,11 +997,11 @@ class TestBfgs:
 class TestSolverConfig:
     def test_json_roundtrip(self):
         cfg = SolverConfig(tol=1e-5, max_iters=99, multistarts=4, seed=3)
-        again = SolverConfig.from_json_dict(cfg.to_json_dict())
+        again = SolverConfig.from_json_dict(dataclasses.asdict(cfg))
         assert again == cfg
 
     def test_json_keys(self):
-        keys = set(SolverConfig().to_json_dict())
+        keys = set(dataclasses.asdict(SolverConfig()))
         assert keys == {"tol", "max_iters", "multistarts", "seed"}
 
     @pytest.mark.parametrize("name, value", [
@@ -979,7 +1016,7 @@ class TestSolverConfig:
 
     def test_accepts_boundaries(self):
         cfg = SolverConfig(tol=1, max_iters=1, multistarts=0, seed=0)
-        assert SolverConfig.from_json_dict(cfg.to_json_dict()) == cfg
+        assert SolverConfig.from_json_dict(dataclasses.asdict(cfg)) == cfg
         assert SolverConfig(seed=10**400, max_iters=10**400).seed == 10**400
 
     def test_from_json_rejects_non_object(self):
