@@ -37,23 +37,39 @@ step, drift correction, face rounding, dual polish) is one least-squares
 solve, differing only in the scaling Phi, the gradient and the primal
 residual: ``_factored``, the one entry to the Newton system, factors the
 normal matrix of one Phi and returns its solve.  The normal matrix is
-factored densely below m n d^2 = 256 real variables, where Python call
-overhead dominates, and from there on by eliminating the outcome blocks
-first, leaving a Schur complement of size (n-1)(d^2-1) (Fujisawa, Kojima and
-Nakata 1997; SDPT3) with the per-outcome solves batched.  Either factor feeds
-one corrected seminormal sweep (Bjorck 1987); a factor that
-``_cholesky_lower`` finds singular up to rounding sends the solve to the one
-minimum-norm ``lstsq`` fallback.  The barrier path factors each Phi once: a
-stage change and the drift correction reuse the factor.  Each block's
-scaling Phi is one real matrix product (``_sandwich``).  A non-finite
-squared decrement lam2 raises ``SolverError`` as soon as it is computed, so
-neither the step length nor the stop rule ever reads one.  The step length
-minimises the step's exact change of the barrier, read from the eigenvalues
-of the scaled step, by damped Newton in one variable, so it factors nothing
-and never forms a barrier value; from lam2 < 1/16 it is the full step.  A
-stage stops at its tolerance or, as the barrier is self-concordant, once a
-full step from lam2 < 1/16 fails to cut lam2 4x: such a step moves only
-rounding, wherever the float floor of the decrement lies.
+factored densely below m n d^2 = 256, where Python call overhead dominates,
+and from there on by eliminating the outcome blocks first, leaving a Schur
+complement of size (n-1)(dd-1) (Fujisawa, Kojima and Nakata 1997; SDPT3) with
+the per-outcome solves batched.  Either factor feeds one corrected
+seminormal sweep (Bjorck 1987); a factor that ``_cholesky_lower`` finds
+singular up to rounding sends the solve to the one minimum-norm ``lstsq``
+fallback.  The barrier path factors each Phi once: a stage change and the
+drift correction reuse the factor.  Each block's scaling Phi is one real
+matrix product (``_sandwich``).  A non-finite squared decrement lam2 raises
+``SolverError`` as soon as it is computed, so neither the step length nor
+the stop rule ever reads one.  The step length minimises the step's exact
+change of the barrier, read from the eigenvalues of the scaled step, by
+damped Newton in one variable, so it factors nothing and never forms a
+barrier value; from lam2 < 1/16 it is the full step.  A stage stops at its
+tolerance or, as the barrier is self-concordant, once a full step from
+lam2 < 1/16 fails to cut lam2 4x: such a step moves only rounding, wherever
+the float floor of the decrement lies.
+
+A real POVM at a real state (every imaginary part exactly zero, the state
+read after ``PureState``'s phase gauge) is solved on the real-symmetric half
+of the Hermitian basis: dd = d(d+1)/2 coordinates per block instead of d^2,
+36 instead of 64 at d = 8 (Gatermann and Parrilo 2004, "Symmetry groups,
+semidefinite programs, and sums of squares").  Complex conjugation maps such
+an SDP to itself, and each barrier subproblem is strictly convex, so its
+unique centre is real.  At a real iterate the Newton system splits into
+real-symmetric and imaginary-antisymmetric coordinates, and the second part
+has a zero right-hand side: each step of the full basis is the step of the
+half, so every stage above runs as it is, with the same steps, on real
+matrices.  A real (Y, G) whose slacks are PSD as real symmetric matrices is
+a Hermitian certificate, and ``verify_dual_certificate`` checks it against
+the POVM as given.  Nothing selects this path but the input
+(``_problem_structure``), and the dense or Schur choice reads the shape
+m n d^2, so both halves of a twin take the same one.
 
 scipy is imported inside the functions that use it, so that the closed-form
 and entropy paths, which never solve an SDP, do not pay its import time.
@@ -215,17 +231,32 @@ class _Structure:
       reduced face these rows meet only directions the scaling removes, so
       the normal matrix takes ``reg``, the identity there (zero multipliers).
 
+    With ``real`` (a real POVM at a real state), ``B`` and ``T`` keep only
+    the real-symmetric elements, those that complex conjugation fixes: the
+    diagonal units or the Gell-Mann diagonals, and the symmetric member of
+    each off-diagonal pair, d(d+1)/2 per block instead of d^2 (``dd`` counts
+    them).  Conjugation maps such a problem to itself, and so its barrier
+    centre, which is unique, to itself: the centre is real.  Split into
+    real-symmetric and imaginary-antisymmetric coordinates, the Newton system
+    at a real iterate decouples (conjugation preserves A, c and the barrier
+    Hessian), and the second part has a zero right-hand side, so each Newton
+    step of the full basis is the step of this one, with real faces, real
+    scalings and real multipliers.  A real (Y, G) whose slacks are PSD as
+    real symmetric matrices is a Hermitian certificate as it stands.
+
     A touches block (x, j) only through the rows ``tau`` of sub-POVM j and
     the identity rows of outcome x; ``apply_A``/``apply_AT`` use that.
     """
 
-    def __init__(self, d: int, m: int, n: int, bases: list | None = None):
-        self.d, self.m, self.n = d, m, n
-        self.dd = dd = d * d
+    def __init__(self, d: int, m: int, n: int, bases: list | None = None, real: bool = False):
+        self.d, self.m, self.n, self.real = d, m, n, real
+        self.B, self.T = hermitian_basis(d), traceless_basis(d)
+        if real:   # the diagonals and the first, symmetric member of each off-diagonal pair
+            sym = np.r_[np.arange(d), d + 2 * np.arange(d * (d - 1) // 2)]
+            self.B, self.T = self.B[sym].real.copy(), self.T[sym[1:] - 1].real.copy()
+        self.dd = dd = len(self.B)
         self.nblocks = m * n
         self.nvar = m * n * dd
-        self.B = hermitian_basis(d)
-        self.T = traceless_basis(d)
         self.tau = np.einsum("aij,tji->ta", self.B, self.T).real  # (s, dd)
         self.reduced = bases is not None
         if self.reduced:
@@ -247,13 +278,17 @@ class _Structure:
         self.group2_start = (n - 1) * self.s
         self.ncon = self.group2_start + m * dd
         self.eye_coords = self.coords_of_stack(self.P)   # coords of each face's identity
-        # Multiplier solve per call, dense -> blockwise (microseconds, best of 30 runs,
-        # one BLAS thread, 2 vCPUs): nvar 16 (d = m = 2) 28 -> 99, 81 (d = m = 3)
-        # 57 -> 122, 225 (d = 5, m = 3) 327 -> 293, 256 (d = m = 4) 265 -> 195, 324
-        # (d = 6, m = 3) 862 -> 491, 400 (d = 5, m = 4) 846 -> 354, 625 (d = m = 5)
-        # 2605 -> 495.  Near the switch the shape decides: 225 at d = 3, m = 5 reads
-        # 186 -> 181 and 256 at d = 2, m = 8 reads 130 -> 153.
-        self.structured = self.nvar >= 256
+        # Multiplier solve per call, dense -> blockwise, by the Hermitian count m n d^2
+        # (microseconds, best of 30 runs, one BLAS thread, 2 vCPUs): 16 (d = m = 2)
+        # 28 -> 99, 81 (d = m = 3) 57 -> 122, 225 (d = 5, m = 3) 327 -> 293, 256
+        # (d = m = 4) 265 -> 195, 324 (d = 6, m = 3) 862 -> 491, 400 (d = 5, m = 4)
+        # 846 -> 354, 625 (d = m = 5) 2605 -> 495.  Near the switch the shape decides:
+        # 225 at d = 3, m = 5 reads 186 -> 181 and 256 at d = 2, m = 8 reads 130 -> 153.
+        # The rule reads the shape, not nvar, so a real problem takes the path of its
+        # Hermitian twin: with the real nvar of 160, d = m = 4 went dense, and
+        # noisy_projective(4, 1e-8) at the unbiased state and 7 real Gaussian states
+        # (default_rng(104)) verified at tol 1e-6 in 2 of 8 cases instead of 7.
+        self.structured = m * n * d * d >= 256
 
     @cached_property
     def A3(self) -> np.ndarray:
@@ -310,24 +345,39 @@ class _Structure:
 
     def mats(self, k: np.ndarray) -> np.ndarray:
         """Coordinates (nblocks, dd) -> stacked matrices (nblocks, d, d)."""
-        return (k @ self.B.reshape(self.dd, self.dd)).reshape(-1, self.d, self.d)
+        d = self.d
+        return (k @ self.B.reshape(self.dd, d * d)).reshape(-1, d, d)
 
     def coords_of_stack(self, S: np.ndarray) -> np.ndarray:
-        flat = S.swapaxes(1, 2).reshape(-1, self.dd)
-        return (flat @ self.B.reshape(self.dd, self.dd).T).real
+        d = self.d
+        flat = S.swapaxes(1, 2).reshape(-1, d * d)
+        return (flat @ self.B.reshape(self.dd, d * d).T).real
 
 
 @cache
-def _structure(d: int, m: int, n: int) -> _Structure:
-    return _Structure(d, m, n)
+def _structure(d: int, m: int, n: int, real: bool = False) -> _Structure:
+    return _Structure(d, m, n, real=real)
 
 
-def _face_bases(povm: Povm) -> list | None:
+def _face_bases(povm: Povm, real: bool = False) -> list | None:
     """(V, r) per element: eigenvectors with range(M_x) in the last r columns, or None
-    when every element has full rank.  Eigenvalues up to 1e-12 of the largest are rounding."""
+    when every element has full rank.  Eigenvalues up to 1e-12 of the largest are
+    rounding.  With ``real`` the elements' real parts are decomposed, so V is real."""
+    elements = (E.real for E in povm.elements) if real else povm.elements
     bases = [(V, int(np.sum(w > 1e-12 * max(w[-1], 0.0))))
-             for w, V in map(np.linalg.eigh, povm.elements)]
+             for w, V in map(np.linalg.eigh, elements)]
     return None if all(r == povm.dim for _, r in bases) else bases
+
+
+def _problem_structure(povm: Povm, state: PureState) -> _Structure:
+    """The structure ``solve_primal`` solves (povm, state) on: one sub-POVM per outcome,
+    real when every element and the gauge-fixed state amplitudes have imaginary parts
+    that are exactly zero, reduced to the faces of rank-deficient elements, and shared
+    through the ``_structure`` cache otherwise."""
+    d, m = povm.dim, povm.num_outcomes
+    real = not (np.any(np.stack(povm.elements).imag) or np.any(state.amplitudes.imag))
+    bases = _face_bases(povm, real)
+    return _structure(d, m, m, real) if bases is None else _Structure(d, m, m, bases, real)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +420,19 @@ def _sandwich(st: _Structure, L: np.ndarray, R: np.ndarray) -> np.ndarray:
     real product from ``_real_sandwich_tables``, with its real and imaginary
     parts stacked as rows, so the sandwich is one real (dd x 2dd x dd) product
     per block: a quarter of the flops of the two complex dd^3 products.
+
+    On a real structure L, R and every B_a are real symmetric, and the entry
+    tr(B_a L B_b R) is vec(L B_a) . vec(B_b R): two real products with the
+    stacked basis, then one (dd x d^2 x dd) product per block.  Being real,
+    such a sandwich keeps the real-symmetric coordinates among themselves,
+    which is why the real structure's Newton system is that of the full
+    basis restricted to them.
     """
     nb, d, dd = st.nblocks, st.d, st.dd
+    if st.real:
+        rows = st.B.reshape(dd * d, d)   # B_a stacked by rows
+        LB = (rows @ L).reshape(nb, dd, d, d).swapaxes(2, 3).reshape(nb, dd, d * d)
+        return LB @ (rows @ R).reshape(nb, dd, d * d).swapaxes(1, 2)
     Ux, Uy, index, sign = _real_sandwich_tables(d)
     pair = np.empty((nb, 2, d, d), dtype=complex)
     pair[:, 0], pair[:, 1] = L, R
@@ -746,14 +807,13 @@ def solve_primal(
     if state.dim != povm.dim:
         raise ValidationError("state and POVM dimensions differ")
     d, m = povm.dim, povm.num_outcomes
-    n = m   # one sub-POVM per outcome
     if d > MAX_SDP_DIM or m > MAX_SDP_OUTCOMES:
         raise ValidationError(f"solver supports d <= {MAX_SDP_DIM}, outcomes <= {MAX_SDP_OUTCOMES}")
 
-    # Facial reduction, then the constraint data A k = b, objective c.k and
-    # the start K[x][j] = M_x / n, strictly feasible on the faces.
-    bases = _face_bases(povm)
-    st = _structure(d, m, n) if bases is None else _Structure(d, m, n, bases)
+    # Facial reduction and the real flag, then the constraint data A k = b,
+    # objective c.k and the start K[x][j] = M_x / n, strictly feasible on the faces.
+    st = _problem_structure(povm, state)
+    n = st.n
     elements = st.P[::n] @ np.stack(povm.elements) @ st.P[::n] if st.reduced else povm.elements
     coords = np.stack([st.coords(E) for E in elements])
     b = np.concatenate([np.zeros(st.group2_start), coords.ravel()])

@@ -3,9 +3,12 @@
 Each draw is either a random POVM S^-1/2 A_x A_x^dag S^-1/2 whose A_x are
 d x r_x, so that elements may be rank-deficient or zero, or a noisy projective
 measurement at eps in {0, 1e-6, U(0, 1), 1}; with a random state and a
-tolerance from 1e-6 down to 1e-9.  A solve either returns a bracket that
-verifies independently or raises one of the three documented errors, and
-``compute --state`` exits with the code of that outcome.
+tolerance from 1e-6 down to 1e-9.  Half the draws are real: real A_x, the
+noisy projective elements in a random real orthogonal basis, and a real
+state, which the solver solves on the real-symmetric half of the basis.  A
+solve either returns a bracket that verifies independently or raises one of
+the three documented errors, and ``compute --state`` exits with the code of
+that outcome.
 """
 
 import contextlib
@@ -34,12 +37,13 @@ def problems(draw):
     """(povm, state, tol) with d <= 4 and at most 4 outcomes."""
     d = draw(hs.integers(2, 4))
     rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    imag = 0.0 if draw(hs.booleans()) else 1j   # 0: a real POVM at a real state
     if draw(hs.booleans()):
         ranks = draw(hs.lists(hs.integers(0, d), min_size=2, max_size=4).filter(
             lambda r: sum(r) >= d))
         G = []
         for r in ranks:
-            A = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+            A = rng.normal(size=(d, r)) + imag * rng.normal(size=(d, r))
             G.append(A @ A.conj().T)
         w, V = np.linalg.eigh(sum(G))
         S = (V / np.sqrt(w)) @ V.conj().T
@@ -47,7 +51,10 @@ def problems(draw):
     else:
         eps = draw(hs.sampled_from([0.0, 1e-6, 1.0]) | hs.floats(0.0, 1.0))
         povm = noisy_projective(d, eps)
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        if not imag:
+            O = np.linalg.qr(rng.normal(size=(d, d)))[0]
+            povm = Povm(tuple(O @ E.real @ O.T for E in povm.elements))
+    v = rng.normal(size=d) + imag * rng.normal(size=d)
     tol = 10.0 ** draw(hs.floats(-9.0, -6.0))
     return povm, PureState(v / np.linalg.norm(v)), tol
 

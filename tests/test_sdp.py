@@ -199,6 +199,73 @@ class TestSolvePrimal:
             solve_primal(noisy_projective(2, 0.3), unbiased_state(2), polish=False)
 
 
+def _structures_solved_on(monkeypatch):
+    """The list to which every later ``solve_primal`` appends the structure of its path."""
+    seen, path = [], sdp._barrier_path
+    monkeypatch.setattr(sdp, "_barrier_path",
+                        lambda st, *args: seen.append(st) or path(st, *args))
+    return seen
+
+
+class TestRealStructure:
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_real_input_solves_on_the_real_symmetric_half(self, monkeypatch, rng, d):
+        # real means every element and the gauge-fixed amplitudes have imaginary parts
+        # exactly zero: i|u> is gauged to |u>; one complex input keeps all d^2
+        seen = _structures_solved_on(monkeypatch)
+        real_povm, u = noisy_projective(d, 0.3), unbiased_state(d)
+        complex_povm = Povm(tuple(random_povm(rng, d, 3)))
+        complex_state = PureState(random_state_vector(rng, d))
+        cases = [(real_povm, u, True), (real_povm, PureState(1j * u.amplitudes), True),
+                 (real_povm, complex_state, False), (complex_povm, u, False)]
+        for povm, state, real in cases:
+            solve_primal(povm, state)
+            st = seen[-1]
+            assert st.real == real and not st.reduced
+            assert st.dd == (d * (d + 1) // 2 if real else d * d)
+            assert np.iscomplexobj(st.B) != real
+
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_real_faces_are_real(self, monkeypatch, d):
+        seen = _structures_solved_on(monkeypatch)
+        res = solve_primal(noisy_projective(d, 0.0), unbiased_state(d))
+        [st] = seen
+        assert st.real and st.reduced and st.dd == d * (d + 1) // 2
+        assert not np.iscomplexobj(st.P) and not np.iscomplexobj(st.S)
+        assert abs(res.value - 1.0 / d) <= SolverConfig().tol
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_real_solve_matches_its_phase_twin(self, monkeypatch, d):
+        # D M_x D^dag = M_x for a diagonal unitary D, so P* at D|u> is P* at |u>: the
+        # real path at |u> and the complex path at D|u> solve one problem
+        eps = 0.3
+        povm, u = noisy_projective(d, eps), unbiased_state(d)
+        phases = np.exp(2j * np.pi * np.random.default_rng(d).uniform(size=d))
+        pstar = pguess_star_noisy_projective(NoiseModel(d, eps)).pguess
+        seen = _structures_solved_on(monkeypatch)
+        values = []
+        for state, real in ((u, True), (PureState(phases * u.amplitudes), False)):
+            res = solve_primal(povm, state)
+            assert seen[-1].real == real
+            assert res.value <= pstar + 1e-9 <= res.dual_value + 2e-9
+            assert verify_dual_certificate(res.certificate, state, povm).feasible
+            values.append(res.value)
+        assert abs(values[0] - values[1]) <= 1e-10
+
+    @pytest.mark.parametrize("d, eps", [(3, 0.2), (6, 0.5)])
+    def test_real_path_takes_the_steps_of_the_full_basis(self, monkeypatch, d, eps):
+        # dense at d = 3, Schur complement at d = 6: the Newton system splits into
+        # real-symmetric and imaginary-antisymmetric coordinates, the second with a
+        # zero right-hand side, so the full basis takes the real structure's steps
+        povm, u = noisy_projective(d, eps), unbiased_state(d)
+        real = solve_primal(povm, u)
+        monkeypatch.setattr(sdp, "_problem_structure", lambda povm, state: sdp._structure(d, d, d))
+        full = solve_primal(povm, u)
+        assert real.iterations == full.iterations
+        assert abs(real.value - full.value) <= 1e-12
+        assert abs(real.dual_value - full.dual_value) <= 1e-12
+
+
 def _violating_report(decomp, povm, tol=1e-9):
     """A verification report with a reconstruction violation of 2e-8."""
     return DecompositionReport(0.0, 0.0, 2e-8, tol)
@@ -294,9 +361,9 @@ def _singular_scaling(rng, st):
     return Pv @ Phi @ Pv
 
 
-def _on_path(d, m, structured):
-    """A fresh structure whose multiplier solve takes the given path, whatever its nvar."""
-    st = sdp._Structure(d, m, m)
+def _on_path(d, m, structured, real=False):
+    """A fresh structure whose multiplier solve takes the given path, whatever its shape."""
+    st = sdp._Structure(d, m, m, real=real)
     st.structured = structured
     return st
 
@@ -346,9 +413,9 @@ def _assert_singular_takes_the_min_norm_solve(monkeypatch, st):
     assert sum(info == 0 for _, info in calls) >= 5
 
 
-def _reference_sandwich(d, L, R):
-    """Re(U^H (L kron R^T) U) per block, U the row-major vecs of the Hermitian basis as columns."""
-    U = sdp.hermitian_basis(d).reshape(d * d, d * d).T
+def _reference_sandwich(st, L, R):
+    """Re(U^H (L kron R^T) U) per block, U the row-major vecs of the structure's basis as columns."""
+    U = st.B.reshape(st.dd, st.d * st.d).T
     return np.stack([np.real(U.conj().T @ np.kron(Lb, Rb.T) @ U) for Lb, Rb in zip(L, R)])
 
 
@@ -365,9 +432,34 @@ class TestNewtonSystem:
                 for r in (ranks.min(axis=0), ranks.max(axis=0)))
         eye = np.broadcast_to(np.eye(d), (st.nblocks, d, d))
         for left, right in ((L, L), (L, R), (Q, Q), (Q, P), (Q, eye)):
-            want = _reference_sandwich(d, left, right)
+            want = _reference_sandwich(st, left, right)
             got = sdp._sandwich(st, left, right)
             assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_real_sandwich_matches_kronecker_reference(self, rng, d):
+        # real symmetric L, R on the real-symmetric basis: vec(L B_a) . vec(B_b R), the
+        # full basis's sandwich restricted to those coordinates, which it never leaves
+        st, full = sdp._structure(d, 2, 2, True), sdp._structure(d, 2, 2)
+        assert st.dd == d * (d + 1) // 2 and not np.iscomplexobj(st.B)
+        L, R = (np.stack([random_hermitian(rng, d).real for _ in range(st.nblocks)])
+                for _ in "LR")
+        O = np.stack([np.linalg.qr(rng.normal(size=(d, d)))[0] for _ in range(st.nblocks)])
+        ranks = rng.integers(1, d + 1, size=(2, st.nblocks))
+        Q, P = ((O * (np.arange(d) < r[:, None])[:, None, :]) @ O.swapaxes(1, 2)
+                for r in (ranks.min(axis=0), ranks.max(axis=0)))
+        eye = np.broadcast_to(np.eye(d), (st.nblocks, d, d))
+        sym = np.r_[np.arange(d), d + 2 * np.arange(d * (d - 1) // 2)]
+        anti = np.setdiff1d(np.arange(d * d), sym)
+        for left, right in ((L, L), (L, R), (Q, Q), (Q, P), (Q, eye)):
+            want = _reference_sandwich(st, left, right)
+            got = sdp._sandwich(st, left, right)
+            assert not np.iscomplexobj(got)
+            scale = max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale
+            Phi = sdp._sandwich(full, left, right)
+            assert np.max(np.abs(Phi[:, sym][:, :, sym] - got)) <= 1e-14 * scale
+            assert np.max(np.abs(Phi[:, sym][:, :, anti])) <= 1e-14 * scale
 
     @pytest.mark.parametrize("reduced", [False, True])
     def test_step_changes_log_det_by_its_eigenvalues(self, rng, reduced):
@@ -479,14 +571,25 @@ class TestNewtonSystem:
     @pytest.mark.parametrize("d", [5, 6])
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_structured_multipliers_match_dense(self, rng, d, m):
-        st, dense = _on_path(d, m, True), _on_path(d, m, False)
-        Phi = _random_scaling(rng, st)
-        gtil = rng.normal(size=st.nvar)
-        for r in (np.zeros(st.ncon), rng.normal(size=st.ncon)):
-            nu_dense, r_dense = sdp._factored(dense, Phi)(gtil, r)
-            nu, rtil = sdp._factored(st, Phi)(gtil, r)
-            assert np.linalg.norm(nu - nu_dense) <= 1e-10 * np.linalg.norm(nu_dense)
-            assert np.linalg.norm(rtil - r_dense) <= 1e-10 * np.linalg.norm(r_dense)
+        # on the Hermitian structure, then on its real twin
+        for real in (False, True):
+            st, dense = _on_path(d, m, True, real), _on_path(d, m, False, real)
+            Phi = _random_scaling(rng, st)
+            gtil = rng.normal(size=st.nvar)
+            for r in (np.zeros(st.ncon), rng.normal(size=st.ncon)):
+                nu_dense, r_dense = sdp._factored(dense, Phi)(gtil, r)
+                nu, rtil = sdp._factored(st, Phi)(gtil, r)
+                assert np.linalg.norm(nu - nu_dense) <= 1e-10 * np.linalg.norm(nu_dense)
+                assert np.linalg.norm(rtil - r_dense) <= 1e-10 * np.linalg.norm(r_dense)
+
+    def test_multiplier_path_is_read_from_the_shape(self):
+        # a real structure takes the path of its Hermitian twin: with the real nvar of
+        # 160, d = m = 4 went dense and noisy_projective(4, 1e-8) at 8 real states
+        # verified at tol 1e-6 in 2 of 8 cases instead of 7
+        for d in range(2, 9):
+            for m in range(2, 9):
+                twins = sdp._Structure(d, m, m), sdp._Structure(d, m, m, real=True)
+                assert [st.structured for st in twins] == [m * m * d * d >= 256] * 2
 
     @pytest.mark.parametrize("d, m", [(3, 3), (5, 4)])
     def test_residual_step_is_least_norm_in_the_metric(self, rng, d, m):
@@ -627,9 +730,8 @@ def _rounded_primal(monkeypatch, povm, state):
     res = solve_primal(povm, state)
     [(k, value, Q)] = rounded
     assert value == res.value
-    d, m = povm.dim, povm.num_outcomes
-    bases = sdp._face_bases(povm)
-    st = sdp._structure(d, m, m) if bases is None else sdp._Structure(d, m, m, bases)
+    m = povm.num_outcomes
+    st = sdp._problem_structure(povm, state)
     proj = state.projector()
     c = np.zeros((m, m, st.dd))
     c[range(m), range(m)] = st.coords(proj)
