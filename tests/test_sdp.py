@@ -377,26 +377,32 @@ def _min_norm(st, Phi, gtil, r=0.0):
 
 
 def _factor_calls(monkeypatch, fail=0):
-    """Record (shape, info) of every LAPACK dpotrf call; the first ``fail`` calls report a
-    non-positive pivot (info > 0)."""
-    import scipy.linalg.lapack
+    """Record (shape, info) of every normal-matrix factor (``sdp._cholesky_lower``): info is 1
+    when ``np.linalg.cholesky`` finds a non-positive pivot, else 0, whatever the pivot-root
+    rule then decides.  The first ``fail`` calls report a non-positive pivot (info > 0)."""
+    calls, factor = [], sdp._cholesky_lower
 
-    calls, dpotrf = [], scipy.linalg.lapack.dpotrf
+    def spy(S):
+        if len(calls) < fail:
+            calls.append((S.shape, 1))
+            raise np.linalg.LinAlgError("not positive definite")
+        try:
+            np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
+            calls.append((S.shape, 1))
+        else:
+            calls.append((S.shape, 0))
+        return factor(S)
 
-    def spy(S, **kwargs):
-        L, info = (S, 1) if len(calls) < fail else dpotrf(S, **kwargs)
-        calls.append((S.shape, info))
-        return L, info
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", spy)
+    monkeypatch.setattr(sdp, "_cholesky_lower", spy)
     return calls
 
 
 def _assert_singular_takes_the_min_norm_solve(monkeypatch, st):
     """On 20 draws of ``_singular_scaling`` the solve is lstsq's minimum-norm one.
 
-    dpotrf accepts the factor (the dense Gram, or the Schur complement) in 11 of
-    them, so its least pivot root, 1e-8 to 5e-7 of the largest, decides: a
+    Cholesky accepts the factor in 9 of them (the dense Gram) or 11 (the Schur
+    complement), so its least pivot root, 1e-8 to 5e-7 of the largest, decides: a
     corrected seminormal solve from such a factor keeps large null-space parts.
     """
     rng = np.random.default_rng(0)
@@ -536,7 +542,7 @@ class TestNewtonSystem:
             mu = 10.0 ** rng.uniform(-1.0, 2.0) * rng.normal(size=rng.integers(4, 100))
             lam2 = float(mu @ mu)
             assert lam2 >= 1.0 / 16.0 and mu.min() < 0.0 < mu.max()
-            alpha = sdp._step_length(mu, lam2)
+            alpha = sdp._step_length(np.diag(mu)[None], lam2)
             cap = 0.9 / mu.max()
             assert 0.0 < alpha <= cap
             assert -alpha * (lam2 + mu.sum()) - np.sum(np.log1p(-alpha * mu)) < 0.0
@@ -545,12 +551,41 @@ class TestNewtonSystem:
             at_cap += alpha == cap
         assert 0 < at_cap < 200   # both the cap and the interior minimiser are drawn
 
-    def test_step_length_is_full_below_a_sixteenth(self):
+    def test_step_length_is_full_below_a_sixteenth(self, monkeypatch):
+        # the full step reads no eigenvalue of the scaled step
+        def no_eigvalsh(a):
+            raise AssertionError("eigenvalues formed for a full step")
+
         rng = np.random.default_rng(26)
+        monkeypatch.setattr(sdp.np.linalg, "eigvalsh", no_eigvalsh)
         for _ in range(20):
             mu = rng.normal(size=rng.integers(4, 300))
             mu *= rng.uniform(0.0, 0.2499) / np.linalg.norm(mu)
-            assert sdp._step_length(mu, float(mu @ mu)) == 1.0
+            assert sdp._step_length(np.diag(mu)[None], float(mu @ mu)) == 1.0
+
+    # the normal matrices reach 245 rows (real d = m = 8) and 441 (d = m = 8), the
+    # stacked D_x 64; leaves of the recursion have at most 64 rows
+    @pytest.mark.parametrize("shape", [(n, n) for n in (1, 11, 64, 65, 245, 441)]
+                             + [(8, 36, 36), (8, 64, 64)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_lower_inverse_is_a_stable_triangular_inverse(self, shape):
+        from scipy.linalg import solve_triangular   # the oracle
+
+        rng = np.random.default_rng(shape[-1])
+        n, u = shape[-1], np.finfo(float).eps / 2
+        # Cholesky factors of matrices with eigenvalues graded from 1 to 1e-8
+        Q = np.linalg.qr(rng.normal(size=shape))[0]
+        L = np.linalg.cholesky((Q * np.logspace(0, -8, n)) @ Q.swapaxes(-1, -2))
+        X = sdp._lower_inverse(L)
+        for Lb, Xb in zip(L.reshape(-1, n, n), X.reshape(-1, n, n)):
+            # backward stable: |X L - I| <= n u |X||L| in the max norm (measured: at
+            # most 0.2 of it); the leaves' LU pivoting leaves rounding in the strict
+            # upper triangle, so the bound is not met entry by entry
+            residual = np.max(np.abs(Xb @ Lb - np.eye(n)))
+            assert residual <= n * u * np.max(np.abs(Xb) @ np.abs(Lb))
+            ref = solve_triangular(Lb, np.eye(n), lower=True)
+            err = np.linalg.norm(Xb - ref)
+            assert err <= n * u * np.linalg.cond(Lb) * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("d, m", [(3, 3), (5, 4)])
     def test_one_factorization_per_scaling(self, monkeypatch, d, m):
