@@ -214,14 +214,14 @@ def cmd_certify(args) -> int:
             raise ValidationError(
                 "--analytic requires a noisy projective POVM with 0 < eps < 1"
             )
-        # Both witnesses are built for the computational-basis POVM at U^dag phi
-        # and rotated by U; the certificate, built at the real unbiased state,
-        # also takes the phases that make U^dag phi real.
+        # Both witnesses are built for the computational-basis POVM and rotated
+        # by U; the certificate, built at the real unbiased state, also takes
+        # the phases of amp = U^dag phi.
         noise, U = found
-        decomp = sqrt_decomposition_qudit(noise, PureState(U.conj().T @ state.amplitudes))
-        phases = decomp.realifying_phases
-        W = U if phases is None else U * phases
+        amp = U.conj().T @ state.amplitudes
+        decomp = sqrt_decomposition_qudit(noise, PureState(amp))
         decomp = Decomposition(U @ decomp.K @ U.conj().T)
+        W = U * np.exp(1j * np.angle(amp))
         cert = build_dual_certificate_noisy_projective(noise)
         cert = DualCertificate(W @ np.stack(cert.Y) @ W.conj().T, W @ np.stack(cert.G) @ W.conj().T)
     else:
@@ -283,13 +283,12 @@ def cmd_entropies(args) -> int:
 
 def cmd_coarse(args) -> int:
     d, eps = args.d, args.epsilon
-    if d % 2 != 0 or d < 4:
-        raise DomainError("the coarse-graining study requires even d >= 4")
+    halves = halves_partition(d)
     noise = NoiseModel(d, eps)
     qubit_noise = NoiseModel(2, eps)
     optimal = pguess_star_qubit_two_outcome(noisy_projective(2, eps)).pguess
     cfg = _solver_config(args)
-    cg_povm = coarse_grain(noise.povm(), halves_partition(d))
+    cg_povm = coarse_grain(noise.povm(), halves)
     alpha = 1.0 / np.sqrt(2.0)
     qubit_state = PureState(np.array([alpha, alpha], dtype=complex))
     qubit_decomp = sqrt_decomposition_qubit(noisy_projective(2, eps), qubit_state)
@@ -297,7 +296,7 @@ def cmd_coarse(args) -> int:
     bus = block_uniform_state(d, alpha, alpha)
     inflated_value = inflated.guess_value(bus)
     psi = unbiased_state(d)
-    eve_cg = coarse_grain_eve_attack(sqrt_decomposition_qudit(noise, psi), halves_partition(d))
+    eve_cg = coarse_grain_eve_attack(sqrt_decomposition_qudit(noise, psi), halves)
     sdp_value = gap = None
     if d <= MAX_SDP_DIM:
         res = solve_primal(cg_povm, psi, cfg)

@@ -11,11 +11,15 @@ state |phi> is sum_j <phi| K[j][j] |phi>.  This module builds the square-root
 decompositions (qubit and qudit), the Bloch-vector construction, permutation
 symmetrization, the one-parameter symmetric family, coarse-graining attacks,
 and the joint state-plus-measurement decompositions.
+
+The qudit square-root decomposition holds as written at complex states, as
+each sqrt(M_x) is diagonal.  Symmetrization and the symmetric family share
+one orbit table: the orbits of simultaneous relabellings are the patterns of
+equal indices in (x, j, i, i'), and each family coefficient names one.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +36,7 @@ from .povm import (
     Povm,
     PureState,
     depolarize,
+    half_dim,
     noisy_projective,
     unbiased_state,
     validate_partition,
@@ -46,14 +51,9 @@ PAULI = (
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Eve's subnormalized sub-POVMs K[x][j], stored as an (m, n, d, d) array.
-
-    ``realifying_phases`` records the diagonal phase gauge applied to the
-    input state before a qudit construction (None when no gauge was needed).
-    """
+    """Eve's subnormalized sub-POVMs K[x][j], stored as an (m, n, d, d) array."""
 
     K: np.ndarray
-    realifying_phases: np.ndarray | None = None
 
     def __post_init__(self):
         K = np.asarray(self.K, dtype=complex)
@@ -142,19 +142,25 @@ def uninformative_decomposition(povm: Povm) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
+def _ordered_qubit_elements(povm: Povm) -> tuple[np.ndarray, np.ndarray]:
+    """(M_1, M_2) of a two-outcome qubit POVM with tr M_1 <= tr M_2 (+1e-12)."""
+    if povm.dim != 2 or povm.num_outcomes != 2:
+        raise ValidationError("qubit decompositions need a two-outcome qubit POVM")
+    M1, M2 = povm.elements
+    if np.real(np.trace(M1)) > np.real(np.trace(M2)) + 1e-12:
+        raise ValidationError("outcome ordering must satisfy tr M_1 <= tr M_2")
+    return M1, M2
+
+
 def sqrt_decomposition_qubit(povm: Povm, state: PureState) -> Decomposition:
     """The four-element square-root splitting of a two-outcome qubit POVM.
 
     Requires tr M_1 <= tr M_2.  The guess value at |phi> is
     1 - 2 p(1) + 2 <phi| sqrt(M_1) |phi>^2.
     """
-    if povm.dim != 2 or povm.num_outcomes != 2:
-        raise ValidationError("square-root qubit decomposition needs a two-outcome qubit POVM")
+    M1, _ = _ordered_qubit_elements(povm)
     if state.dim != 2:
         raise ValidationError("state must be a qubit")
-    M1, M2 = povm.elements
-    if np.real(np.trace(M1)) > np.real(np.trace(M2)) + 1e-12:
-        raise ValidationError("outcome ordering must satisfy tr M_1 <= tr M_2")
     P = state.projector()
     s1 = matrix_sqrt(M1)
     core = s1 @ P @ s1
@@ -169,53 +175,30 @@ def sqrt_decomposition_qubit(povm: Povm, state: PureState) -> Decomposition:
     return Decomposition(K)
 
 
-def _realify(state: PureState) -> tuple[np.ndarray, np.ndarray | None]:
-    """Component phases making the amplitudes real non-negative, if needed."""
-    amp = state.amplitudes
-    if state.is_real() and np.min(amp.real) >= -1e-15:
-        return np.abs(amp), None
-    phases = np.where(np.abs(amp) > 1e-14, np.exp(1j * np.angle(amp)), 1.0)
-    return np.abs(amp), phases
-
-
 def sqrt_decomposition_qudit(noise: NoiseModel, state: PureState) -> Decomposition:
-    """Square-root decomposition of the noisy projective measurement.
+    """Square-root decomposition of the noisy projective measurement at any state.
 
-    Generalizes the qubit construction: K[x][x] is built from sqrt(M_x)|phi>
-    plus an isotropic remainder on the complement of x, K[x][j] is rank one.
-    The guess value at |phi> is sum_x <phi| sqrt(M_x) |phi>^2.  Complex states
-    are realified with a diagonal phase gauge (which commutes with the POVM)
-    and the result is rotated back, so it is valid for the input state.
+    With amplitudes a, phi_x = sqrt(M_x) a and r_x = a - a_x e_x,
+
+        K[x][x] = phi_x phi_x^+ + (eps/d) ((1 - |a_x|^2) (1 - |x><x|) - r_x r_x^+),
+        K[x][j] = w w^+  with  w = sqrt(M_x) (a_j^* e_x - a_x^* e_j)   (j != x).
+
+    The guess value at |phi> is sum_x <phi| sqrt(M_x) |phi>^2.
     """
     d, eps = noise.d, noise.epsilon
     if state.dim != d:
         raise ValidationError("state dimension does not match the noise model")
-    amp, phases = _realify(state)
-    sqrtA_d = np.sqrt(noise.A / d)
-    sqrt_eps_d = np.sqrt(eps / d)
-    eye = np.eye(d)
-    K = np.zeros((d, d, d, d), dtype=complex)
-    for x in range(d):
-        ex = eye[x]
-        # sqrt(M_x) acts as sqrt(A/d) on |x> and sqrt(eps/d) on its complement.
-        phi_x = sqrt_eps_d * amp + (sqrtA_d - sqrt_eps_d) * amp[x] * ex
-        c_not_x = 1.0 - amp[x] ** 2
-        Kxx = np.outer(phi_x, phi_x)
-        if c_not_x > 1e-15 and eps > 0.0:
-            rest = amp - amp[x] * ex
-            one_not_x = eye - np.outer(ex, ex)
-            Kxx = Kxx + (eps / d) * (c_not_x * one_not_x - np.outer(rest, rest))
-        K[x, x] = Kxx
-        for j in range(d):
-            if j == x:
-                continue
-            v = amp[j] * ex - amp[x] * eye[j]
-            phi_xj = sqrt_eps_d * v + (sqrtA_d - sqrt_eps_d) * v[x] * ex
-            K[x, j] = np.outer(phi_xj, phi_xj)
-    if phases is not None:
-        U = np.diag(phases)
-        K = np.einsum("ab,xjbc,cd->xjad", U, K, U.conj().T)
-    return Decomposition(K, realifying_phases=phases)
+    a, eye = state.amplitudes, np.eye(d)
+    outer = lambda v: v[..., :, None] * v[..., None, :].conj()
+    # Row x holds the diagonal of sqrt(M_x): sqrt(A/d) on |x>, sqrt(eps/d) elsewhere.
+    root = np.where(eye > 0.0, np.sqrt(noise.A / d), np.sqrt(eps / d))
+    # Entry [x, j] is w, which is zero at j = x.
+    K = outer(root[:, None] * (a.conj()[None, :, None] * eye[:, None] - a.conj()[:, None, None] * eye))
+    phi, rest = root * a, a * (1.0 - eye)        # rows phi_x and r_x
+    outside = (1.0 - eye)[:, :, None] * eye       # row x is 1 - |x><x|
+    K[range(d), range(d)] = outer(phi) + (eps / d) * (
+        (1.0 - np.abs(a) ** 2)[:, None, None] * outside - outer(rest))
+    return Decomposition(K)
 
 
 def sqrt_guess_value(noise: NoiseModel, state: PureState) -> float:
@@ -290,11 +273,7 @@ def bloch_decomposition_qubit(povm: Povm, state: PureState) -> BlochWitness:
     Undefined when the state coincides with the large eigenvector of M_1
     (cos theta = 1), where Eve trivially guesses perfectly.
     """
-    if povm.dim != 2 or povm.num_outcomes != 2:
-        raise ValidationError("Bloch decomposition needs a two-outcome qubit POVM")
-    M1, M2 = povm.elements
-    if np.real(np.trace(M1)) > np.real(np.trace(M2)) + 1e-12:
-        raise ValidationError("outcome ordering must satisfy tr M_1 <= tr M_2")
+    M1, _ = _ordered_qubit_elements(povm)
     w, V = np.linalg.eigh(M1)   # ascending: w[1] = m1 >= w[0] = m2
     m1, m2 = float(w[1]), float(w[0])
     z = m1 - m2
@@ -319,92 +298,84 @@ def bloch_decomposition_qubit(povm: Povm, state: PureState) -> BlochWitness:
 # Permutation symmetrization and the symmetric family
 # ---------------------------------------------------------------------------
 
-MAX_SYMMETRIZE_DIM = 6
+# A representative index (x, j, i, i') of K[x][j][i, i'] for each orbit under
+# simultaneous relabellings, blocks x = j first; the transposed index
+# (x, j, i', i) carries the same coefficient.
+_REPRESENTATIVES = {
+    "tau": (0, 0, 0, 0), "gamma": (0, 0, 0, 1), "alpha": (0, 0, 1, 1), "beta": (0, 0, 1, 2),
+    "f": (0, 1, 0, 0), "g": (0, 1, 0, 1), "h": (0, 1, 1, 1), "s": (0, 1, 0, 2),
+    "t": (0, 1, 1, 2), "a": (0, 1, 2, 2), "b": (0, 1, 2, 3),
+}
+
+
+def _pattern(index):
+    """Bitmask (< 64) of which of the six pairs of (x, j, i, i') hold equal values."""
+    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    return sum((index[p] == index[q]) << k for k, (p, q) in enumerate(pairs))
+
+
+def _orbits(d: int) -> np.ndarray:
+    """The equality pattern of each index of a (d, d, d, d) array: its orbit.
+
+    Simultaneous relabellings of outcomes and basis move an index exactly
+    within its pattern, so there are 15 orbits when d >= 4.
+    """
+    return _pattern(np.indices((d,) * 4))
 
 
 def permutation_symmetrize(decomp: Decomposition) -> Decomposition:
     """Average K over all d! simultaneous relabelings of outcomes and basis.
 
-    Exact enumeration (deterministic summation order); valid for
-    permutation-covariant POVMs such as the noisy projective measurement and
-    unchanged guess value at the unbiased state.
+    The group average of an entry is the mean of K over the entry's orbit
+    (the Reynolds operator), so no permutation is enumerated and any d works.
+    Valid for permutation-covariant POVMs such as the noisy projective
+    measurement, with the guess value at the unbiased state unchanged.
     """
     d = decomp.dim
     if decomp.num_outcomes != d or decomp.num_subpovms != d:
         raise ValidationError("symmetrization expects a d x d decomposition in dimension d")
-    if d > MAX_SYMMETRIZE_DIM:
-        raise DomainError(f"symmetrization enumerates d! permutations; d <= {MAX_SYMMETRIZE_DIM} only")
-    acc = np.zeros_like(decomp.K)
-    count = 0
-    for perm in itertools.permutations(range(d)):
-        p = np.array(perm)
-        # (Pi^T K_{s(x), s(j)} Pi)[i, i'] = K[s(x), s(j), s(i), s(i')]
-        acc += decomp.K[p][:, p][:, :, p][:, :, :, p]
-        count += 1
-    return Decomposition(acc / count)
+    orbit = np.unique(_orbits(d).ravel(), return_inverse=True)[1]
+    K = decomp.K.ravel()
+    mean = (np.bincount(orbit, K.real) + 1j * np.bincount(orbit, K.imag)) / np.bincount(orbit)
+    return Decomposition(mean[orbit].reshape(decomp.K.shape))
 
 
 def symmetric_coefficients(decomp: Decomposition, tol: float = 1e-10) -> dict:
     """Extract the canonical coefficients of a permutation-symmetric decomposition.
 
-    Returns {tau, gamma, alpha, beta, f, g, h, s, t, a, b}; entries whose
-    index pattern needs more dimensions than available are None.  Raises if
-    the decomposition does not actually have the symmetric structure.
+    Returns {tau, gamma, alpha, beta, f, g, h, s, t, a, b}, each read at its
+    orbit's representative index; an entry whose representative needs more
+    than d values is None.  Raises if the decomposition is not the real
+    symmetric decomposition these coefficients rebuild.
     """
     d = decomp.dim
-    K = decomp.K
-    coeff = {
-        "tau": K[0, 0, 0, 0],
-        "gamma": K[0, 0, 0, 1] if d >= 2 else None,
-        "alpha": K[0, 0, 1, 1] if d >= 2 else None,
-        "beta": K[0, 0, 1, 2] if d >= 3 else None,
-        "f": K[0, 1, 0, 0],
-        "g": K[0, 1, 0, 1],
-        "h": K[0, 1, 1, 1],
-        "s": K[0, 1, 0, 2] if d >= 3 else None,
-        "t": K[0, 1, 1, 2] if d >= 3 else None,
-        "a": K[0, 1, 2, 2] if d >= 3 else None,
-        "b": K[0, 1, 2, 3] if d >= 4 else None,
-    }
-    for key, val in coeff.items():
-        if val is None:
-            continue
-        if abs(np.imag(val)) > tol:
-            raise ValidationError(f"coefficient {key} is not real: {val}")
-        coeff[key] = float(np.real(val))
-    rebuilt = symmetric_decomposition_from_coefficients(d, coeff)
-    err = max_abs(rebuilt.K - K)
+    coeff = {key: float(np.real(decomp.K[rep])) if max(rep) < d else None
+             for key, rep in _REPRESENTATIVES.items()}
+    err = max_abs(symmetric_decomposition_from_coefficients(d, coeff).K - decomp.K)
     if err > tol:
         raise ValidationError(f"decomposition is not permutation-symmetric: deviation {err:.3e}")
     return coeff
 
 
 def symmetric_decomposition_from_coefficients(d: int, coeff: dict) -> Decomposition:
-    """Build the canonical permutation-symmetric decomposition from coefficients."""
-    get = lambda key: 0.0 if coeff.get(key) is None else float(coeff[key])
-    K = np.zeros((d, d, d, d), dtype=complex)
-    for x in range(d):
-        block = np.full((d, d), get("beta"), dtype=complex)
-        np.fill_diagonal(block, get("alpha"))
-        block[x, :] = get("gamma")
-        block[:, x] = get("gamma")
-        block[x, x] = get("tau")
-        K[x, x] = block
-        for j in range(d):
-            if j == x:
-                continue
-            blk = np.full((d, d), get("b"), dtype=complex)
-            np.fill_diagonal(blk, get("a"))
-            blk[x, :] = get("s")
-            blk[:, x] = get("s")
-            blk[j, :] = get("t")
-            blk[:, j] = get("t")
-            blk[x, x] = get("f")
-            blk[j, j] = get("h")
-            blk[x, j] = get("g")
-            blk[j, x] = get("g")
-            K[x, j] = blk
-    return Decomposition(K)
+    """Build the canonical permutation-symmetric decomposition from coefficients.
+
+    Each orbit takes the coefficient of its representative; a missing or None
+    coefficient is zero.
+    """
+    values = np.zeros(64)
+    for key, (x, j, i, k) in _REPRESENTATIVES.items():
+        if coeff.get(key) is not None:
+            values[_pattern((x, j, i, k))] = values[_pattern((x, j, k, i))] = float(coeff[key])
+    return Decomposition(values[_orbits(d)])
+
+
+def _family_h(noise: NoiseModel, h: float) -> float:
+    """h clipped to [0, eps/d^2]; DomainError more than 1e-15 outside it."""
+    top = noise.epsilon / noise.d**2
+    if not -1e-15 <= h <= top + 1e-15:
+        raise DomainError(f"h must lie in [0, eps/d^2] = [0, {top}], got {h}")
+    return min(max(h, 0.0), top)
 
 
 def symmetric_family_value(noise: NoiseModel, h: float) -> float:
@@ -414,18 +385,17 @@ def symmetric_family_value(noise: NoiseModel, h: float) -> float:
     maximized at the right endpoint, where it equals the closed-form optimum.
     """
     d, eps = noise.d, noise.epsilon
-    if not -1e-15 <= h <= eps / d**2 + 1e-15:
-        raise DomainError(f"h must lie in [0, eps/d^2] = [0, {eps / d**2}], got {h}")
-    h = min(max(h, 0.0), eps / d**2)
+    h = _family_h(noise, h)
     return float(1.0 - (d - 1) * (np.sqrt(h + (1.0 - eps) / d) - np.sqrt(h)) ** 2)
 
 
 def symmetric_family_decomposition(noise: NoiseModel, h: float) -> Decomposition:
-    """The canonical symmetric decomposition realizing symmetric_family_value."""
+    """The canonical symmetric decomposition realizing symmetric_family_value.
+
+    Its coefficients beta, s, t, a and b are zero.
+    """
     d, eps = noise.d, noise.epsilon
-    if not -1e-15 <= h <= eps / d**2 + 1e-15:
-        raise DomainError(f"h must lie in [0, eps/d^2], got {h}")
-    h = min(max(h, 0.0), eps / d**2)
+    h = _family_h(noise, h)
     f = h + (1.0 - eps) / d
     # gamma = +sqrt(fh) (and g = -gamma) is the root that raises the guess
     # value; it matches the square-root decomposition at the optimum.
@@ -434,14 +404,9 @@ def symmetric_family_decomposition(noise: NoiseModel, h: float) -> Decomposition
         "tau": 1.0 / d - (d - 1) * h,
         "gamma": -g,
         "alpha": eps / d - h,
-        "beta": 0.0,
         "f": f,
         "g": g,
         "h": h,
-        "s": 0.0,
-        "t": 0.0,
-        "a": 0.0,
-        "b": 0.0,
     }
     return symmetric_decomposition_from_coefficients(d, coeff)
 
@@ -453,9 +418,7 @@ def symmetric_family_decomposition(noise: NoiseModel, h: float) -> Decomposition
 
 def block_uniform_state(d: int, alpha1: float, alpha2: float) -> PureState:
     """State [alpha1 |u>, alpha2 |u>] with |u> unbiased on each half."""
-    if d % 2 != 0 or d < 4:
-        raise DomainError("block-uniform state requires even d >= 4")
-    half = d // 2
+    half = half_dim(d)
     u = np.full(half, 1.0 / np.sqrt(half))
     return PureState(np.concatenate([alpha1 * u, alpha2 * u]).astype(complex))
 
@@ -470,12 +433,9 @@ def inflate_qubit_decomposition(noise: NoiseModel, qubit_decomp: Decomposition) 
     measurement, with the qubit guess value preserved at the block-uniform
     state (alpha1, alpha2).
     """
-    d = noise.d
-    if d % 2 != 0 or d < 4:
-        raise DomainError("inflation requires even d >= 4")
     if qubit_decomp.dim != 2 or qubit_decomp.num_outcomes != 2 or qubit_decomp.num_subpovms != 2:
         raise ValidationError("expected a 2x2 qubit decomposition")
-    return Decomposition(np.kron(qubit_decomp.K, np.eye(d // 2)))
+    return Decomposition(np.kron(qubit_decomp.K, np.eye(half_dim(noise.d))))
 
 
 def coarse_grain_eve_attack(decomp: Decomposition, partition) -> Decomposition:
@@ -502,11 +462,10 @@ def coarse_grain_eve_attack(decomp: Decomposition, partition) -> Decomposition:
 def coarse_grained_attack_value(noise: NoiseModel) -> float:
     """Closed-form guess value of the half-split coarse-grained attack at psi.
 
-    1/2 + (sqrt(eps) / 2d) (2 sqrt(A) + sqrt(eps) (d - 2)).
+    1/2 + (sqrt(eps) / 2d) (2 sqrt(A) + sqrt(eps) (d - 2)), for even d >= 4.
     """
     d, eps = noise.d, noise.epsilon
-    if d % 2 != 0 or d < 4:
-        raise DomainError("the coarse-grained study requires even d >= 4")
+    half_dim(d)
     return float(0.5 + np.sqrt(eps) / (2 * d) * (2 * np.sqrt(noise.A) + np.sqrt(eps) * (d - 2)))
 
 

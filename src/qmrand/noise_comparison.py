@@ -17,17 +17,20 @@ import numpy as np
 from .linalg import DomainError
 
 
-def delta_to_epsilon(delta: float) -> float:
-    """Invert delta = eps (2 - eps): eps = 1 - sqrt(1 - delta)."""
+def _check_delta(delta: float) -> None:
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must be in [0, 1], got {delta}")
+
+
+def delta_to_epsilon(delta: float) -> float:
+    """Invert delta = eps (2 - eps): eps = 1 - sqrt(1 - delta)."""
+    _check_delta(delta)
     return float(1.0 - np.sqrt(1.0 - delta))
 
 
 def single_noise_curve(delta: float) -> float:
     """Optimal guessing probability with all noise on one device."""
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must be in [0, 1], got {delta}")
+    _check_delta(delta)
     return float(0.5 * (1.0 + np.sqrt(delta * (2.0 - delta))))
 
 
@@ -38,8 +41,7 @@ def shared_noise_lower_bound(delta: float) -> float:
     A lower bound: the paper's joint decomposition realizes it, but no
     matching converse is known below the plateau.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must be in [0, 1], got {delta}")
+    _check_delta(delta)
     if delta >= 0.5:
         return 1.0
     return float(0.5 * (1.0 + 2.0 * np.sqrt(delta * (1.0 - delta))))

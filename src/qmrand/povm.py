@@ -49,9 +49,6 @@ class PureState:
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
-    def is_real(self) -> bool:
-        return bool(np.max(np.abs(self.amplitudes.imag)) <= 1e-12)
-
 
 @dataclass(frozen=True)
 class Povm:
@@ -108,7 +105,10 @@ class NoiseModel:
         object.__setattr__(self, "delta", self.epsilon * (2.0 - self.epsilon))
 
     def povm(self) -> Povm:
-        return noisy_projective(self.d, self.epsilon)
+        """Rank-one computational-basis projectors mixed with white noise."""
+        d, eps = self.d, self.epsilon
+        eye = np.eye(d)
+        return Povm(tuple((1.0 - eps) * np.outer(eye[x], eye[x]) + (eps / d) * eye for x in range(d)))
 
     def trace_sqrt_element(self) -> float:
         """tr sqrt(M_x) = (sqrt(A) + (d-1) sqrt(eps)) / sqrt(d), same for all x."""
@@ -132,13 +132,7 @@ def depolarize(op, epsilon: float) -> np.ndarray:
 
 def noisy_projective(d: int, epsilon: float) -> Povm:
     """Rank-one computational-basis projectors mixed with white noise."""
-    if d < 2:
-        raise DomainError("noisy projective measurement requires d >= 2")
-    if not 0.0 <= epsilon <= 1.0:
-        raise DomainError(f"epsilon must be in [0, 1], got {epsilon}")
-    eye = np.eye(d)
-    elems = [(1.0 - epsilon) * np.outer(eye[x], eye[x]) + (epsilon / d) * eye for x in range(d)]
-    return Povm(tuple(elems))
+    return NoiseModel(d, epsilon).povm()
 
 
 def unbiased_state(d: int) -> PureState:
@@ -180,11 +174,17 @@ def coarse_grain(povm: Povm, partition) -> Povm:
     return Povm(tuple(sum(povm.elements[x] for x in part) for part in parts))
 
 
+def half_dim(d: int) -> int:
+    """d/2 for the even split of the coarse-grained study, which needs even d >= 4."""
+    if d % 2 != 0 or d < 4:
+        raise DomainError("the coarse-graining study requires even d >= 4")
+    return d // 2
+
+
 def halves_partition(d: int) -> list[list[int]]:
     """The first-half / second-half outcome split used in the coarse-grained study."""
-    if d % 2 != 0 or d < 4:
-        raise DomainError("halves partition requires even d >= 4")
-    return [list(range(d // 2)), list(range(d // 2, d))]
+    half = half_dim(d)
+    return [list(range(half)), list(range(half, d))]
 
 
 def two_outcome_qubit(m1: float, m2: float, basis: np.ndarray | None = None) -> Povm:

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qmrand.closed_form import pguess_star_noisy_projective, pguess_star_qubit_two_outcome
 from qmrand.decompositions import (
     EPSILON_STAR,
+    Decomposition,
     bloch_decomposition_qubit,
     block_uniform_state,
     coarse_grain_eve_attack,
@@ -15,6 +18,7 @@ from qmrand.decompositions import (
     sqrt_decomposition_qudit,
     sqrt_guess_value,
     symmetric_coefficients,
+    symmetric_decomposition_from_coefficients,
     symmetric_family_decomposition,
     symmetric_family_value,
     trivial_decomposition,
@@ -39,6 +43,35 @@ from conftest import random_qubit_two_outcome, random_state_vector
 
 def random_pure(rng, d):
     return PureState(random_state_vector(rng, d))
+
+
+def sqrt_reference(noise, amplitudes):
+    """Gauge reference: the square-root decomposition at the real state |a|,
+    one block at a time, rotated by the phase gauge D = diag(a / |a|)."""
+    d, eps = noise.d, noise.epsilon
+    amp = np.abs(amplitudes)
+    phases = np.where(amp > 0.0, np.exp(1j * np.angle(amplitudes)), 1.0)
+    sqrt_m = [np.diag(np.where(np.arange(d) == x, np.sqrt(noise.A / d), np.sqrt(eps / d))) for x in range(d)]
+    eye = np.eye(d)
+    K = np.zeros((d, d, d, d), dtype=complex)
+    for x in range(d):
+        phi_x = sqrt_m[x] @ amp
+        rest = amp - amp[x] * eye[x]
+        K[x, x] = np.outer(phi_x, phi_x) + (eps / d) * (
+            (1.0 - amp[x] ** 2) * (eye - np.outer(eye[x], eye[x])) - np.outer(rest, rest))
+        for j in range(d):
+            if j != x:
+                v = sqrt_m[x] @ (amp[j] * eye[x] - amp[x] * eye[j])
+                K[x, j] = np.outer(v, v)
+    D = np.diag(phases)
+    return np.einsum("ab,xjbc,cd->xjad", D, K, D.conj().T)
+
+
+def symmetrize_reference(K):
+    """The group average by brute force: the mean over all d! relabellings,
+    taken along a last, contiguous axis so that numpy sums it pairwise."""
+    perms = [list(p) for p in itertools.permutations(range(K.shape[0]))]
+    return np.stack([K[p][:, p][:, :, p][:, :, :, p] for p in perms], axis=-1).mean(axis=-1)
 
 
 class TestSqrtQubit:
@@ -144,9 +177,25 @@ class TestSqrtQudit:
         noise = NoiseModel(3, 0.25)
         st = random_pure(rng, 3)
         dec = sqrt_decomposition_qudit(noise, st)
-        assert dec.realifying_phases is not None
         assert verify_decomposition(dec, noise.povm(), 1e-9).passed
         assert abs(dec.guess_value(st) - sqrt_guess_value(noise, st)) < 1e-12
+
+    @pytest.mark.parametrize("case", ["complex", "zero amplitude", "negative real", "basis state"])
+    def test_matches_the_gauge_reference(self, rng, case):
+        for d in (2, 3, 4, 6):
+            for eps in (0.0, 0.3, 1.0):
+                a = random_state_vector(rng, d)
+                if case == "zero amplitude":
+                    a[d // 2] = 0.0
+                elif case == "negative real":
+                    a = -np.abs(a)
+                    a[0] = abs(a[0])
+                elif case == "basis state":
+                    a = np.eye(d)[d - 1].astype(complex)
+                st = PureState(a / np.linalg.norm(a))
+                dec = sqrt_decomposition_qudit(NoiseModel(d, eps), st)
+                assert np.max(np.abs(dec.K - sqrt_reference(NoiseModel(d, eps), st.amplitudes))) < 1e-14
+                assert verify_decomposition(dec, noisy_projective(d, eps), 1e-12).passed
 
     def test_noiseless_limit(self, rng):
         noise = NoiseModel(3, 0.0)
@@ -284,11 +333,21 @@ class TestSymmetrization:
         for key in ("tau", "gamma", "alpha", "f", "g", "h"):
             assert abs(coeff[key] - rebuilt[key]) < 1e-10
 
-    def test_size_cap(self):
-        noise = NoiseModel(7, 0.2)
-        dec = sqrt_decomposition_qudit(noise, unbiased_state(7))
-        with pytest.raises(DomainError):
-            permutation_symmetrize(dec)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_orbit_means_equal_the_group_average(self, rng, d):
+        K = rng.normal(size=(d,) * 4) + 1j * rng.normal(size=(d,) * 4)
+        sym = permutation_symmetrize(Decomposition(K))
+        assert np.max(np.abs(sym.K - symmetrize_reference(K))) < 1e-14
+
+    @pytest.mark.parametrize("d", [7, 8])
+    def test_beyond_enumeration(self, d):
+        # d! = 5040 and 40320 relabellings: the orbit means need none of them
+        noise = NoiseModel(d, 0.2)
+        psi = unbiased_state(d)
+        dec = sqrt_decomposition_qudit(noise, psi)
+        sym = permutation_symmetrize(dec)
+        assert abs(sym.guess_value(psi) - dec.guess_value(psi)) < 1e-12
+        assert verify_decomposition(sym, noise.povm(), 1e-9).passed
 
 
 class TestSymmetricFamily:
@@ -319,6 +378,24 @@ class TestSymmetricFamily:
             dec = symmetric_family_decomposition(noise, h)
             assert verify_decomposition(dec, noise.povm(), 1e-9).passed
             assert abs(dec.guess_value(psi) - symmetric_family_value(noise, h)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_coefficients_round_trip(self, d):
+        eps = 0.4
+        noise = NoiseModel(d, eps)
+        for h in (0.0, 0.5 * eps / d**2, eps / d**2):
+            dec = symmetric_family_decomposition(noise, h)
+            coeff = symmetric_coefficients(dec, tol=1e-14)
+            f = h + (1.0 - eps) / d
+            expected = {"tau": 1.0 / d - (d - 1) * h, "gamma": np.sqrt(f * h), "alpha": eps / d - h,
+                        "f": f, "g": -np.sqrt(f * h), "h": h}
+            for key, value in coeff.items():
+                if key in expected:
+                    assert abs(value - expected[key]) < 1e-15
+                else:   # beta, s, t, a, b: zero, or None where d is too small
+                    needs = {"beta": 3, "s": 3, "t": 3, "a": 3, "b": 4}[key]
+                    assert value == (0.0 if d >= needs else None)
+            assert np.max(np.abs(symmetric_decomposition_from_coefficients(d, coeff).K - dec.K)) == 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
