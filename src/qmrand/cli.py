@@ -223,7 +223,7 @@ def cmd_certify(args) -> int:
         decomp = Decomposition(U @ decomp.K @ U.conj().T)
         W = U * np.exp(1j * np.angle(amp))
         cert = build_dual_certificate_noisy_projective(noise)
-        cert = DualCertificate(W @ np.stack(cert.Y) @ W.conj().T, W @ np.stack(cert.G) @ W.conj().T)
+        cert = DualCertificate(W @ cert.Y @ W.conj().T, W @ cert.G @ W.conj().T)
     else:
         if not args.decomposition:
             raise ValidationError("provide a decomposition file or --analytic")

@@ -136,29 +136,25 @@ def detect_noisy_projective(povm: Povm) -> tuple[NoiseModel, np.ndarray] | None:
     d = povm.dim
     if povm.num_outcomes != d:
         return None
-    if max(abs(float(np.real(np.trace(E))) - 1.0) for E in povm.elements) > _DETECT_TOL:
+    if max_abs(np.trace(povm.elements, axis1=1, axis2=2).real - 1.0) > _DETECT_TOL:
         return None
     # All elements share the spectrum {eps/d x (d-1), A/d}.
-    eps_estimates = []
-    tops = []
-    for E in povm.elements:
-        w, V = np.linalg.eigh(E)
-        eps = float(np.mean(w[:-1]) * d)
-        if not -_DETECT_TOL <= eps <= 1.0 + _DETECT_TOL:
-            return None
-        eps_estimates.append(min(max(eps, 0.0), 1.0))
-        tops.append(V[:, -1])
-    eps = float(np.mean(eps_estimates))
+    w, V = np.linalg.eigh(povm.elements)
+    eps_each = np.mean(w[:, :-1], axis=1) * d
+    if np.any(eps_each < -_DETECT_TOL) or np.any(eps_each > 1.0 + _DETECT_TOL):
+        return None
+    eps = float(np.mean(np.clip(eps_each, 0.0, 1.0)))
     eye = np.eye(d)
     if eps > 1.0 - _DETECT_TOL:
         # Maximally mixed limit: every element must be 1/d; basis arbitrary.
-        if all(max_abs(E - eye / d) <= _DETECT_TOL for E in povm.elements):
+        if max_abs(povm.elements - eye / d) <= _DETECT_TOL:
             return NoiseModel(d, 1.0), eye.astype(complex)
         return None
-    U = np.column_stack(tops)
-    for E, v in zip(povm.elements, tops):
-        if max_abs(E - (1.0 - eps) * np.outer(v, v.conj()) - (eps / d) * eye) > _DETECT_TOL:
-            return None
+    tops = V[:, :, -1]   # row x is the top eigenvector v_x
+    model = (1.0 - eps) * tops[:, :, None] * tops.conj()[:, None, :] + (eps / d) * eye
+    if max_abs(povm.elements - model) > _DETECT_TOL:
+        return None
+    U = tops.T.copy()   # contiguous: U.sum(axis=1), the optimal state, rounds by layout
     if max_abs(U @ U.conj().T - eye) > _DETECT_TOL * d:
         return None
     return NoiseModel(d, eps), U

@@ -56,7 +56,7 @@ class Decomposition:
     K: np.ndarray
 
     def __post_init__(self):
-        K = np.asarray(self.K, dtype=complex)
+        K = np.array(self.K, dtype=complex)   # a copy: the caller's array stays writable
         if K.ndim != 4 or K.shape[2] != K.shape[3]:
             raise ValidationError(f"decomposition array must be (m, n, d, d), got {K.shape}")
         K.setflags(write=False)
@@ -111,7 +111,7 @@ def verify_decomposition(decomp: Decomposition, povm: Povm, tol: float = 1e-9) -
     psd = max(0.0, -float(np.min(np.linalg.eigvalsh(hermitian_part(K, 1e-8)), initial=0.0)))
     S = K.sum(axis=0)
     prop = max_abs(S - (np.real(np.trace(S, axis1=1, axis2=2)) / d)[:, None, None] * np.eye(d))
-    recon = max_abs(K.sum(axis=1) - np.stack(povm.elements))
+    recon = max_abs(K.sum(axis=1) - povm.elements)
     return DecompositionReport(psd, prop, recon, tol)
 
 
@@ -123,18 +123,14 @@ def trivial_decomposition(povm: Povm) -> Decomposition:
     """
     m, d = povm.num_outcomes, povm.dim
     K = np.zeros((m, m, d, d), dtype=complex)
-    for x, Mx in enumerate(povm.elements):
-        K[x, x] = Mx
+    K[range(m), range(m)] = povm.elements
     return Decomposition(K)
 
 
 def uninformative_decomposition(povm: Povm) -> Decomposition:
     """K[x][j] = M_x / n: the no-side-information splitting (always valid)."""
-    m, d = povm.num_outcomes, povm.dim
-    K = np.empty((m, m, d, d), dtype=complex)
-    for x, Mx in enumerate(povm.elements):
-        K[x, :] = Mx / m
-    return Decomposition(K)
+    m = povm.num_outcomes
+    return Decomposition(np.repeat(povm.elements[:, None] / m, m, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +534,8 @@ class JointDecomposition:
             "ijl,ila,ilb->ab", self.weights, self.states, self.states.conj()
         )
         state_violation = max_abs(state_avg - self.target_rho)
-        marg_violation = 0.0
-        for x, Mx in enumerate(self.target_povm.elements):
-            marg = np.einsum("ijl,jlab->ab", self.weights, self.povms[x])
-            marg_violation = max(marg_violation, max_abs(marg - Mx))
+        marg = np.einsum("ijl,xjlab->xab", self.weights, self.povms)
+        marg_violation = max_abs(marg - self.target_povm.elements)
         return JointReport(
             weight_violation,
             weight_negativity,

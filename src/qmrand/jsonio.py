@@ -77,7 +77,7 @@ def povm_from_json(data: dict) -> Povm:
         elements = [matrix_from_json(e) for e in data["elements"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed POVM JSON: {exc}") from exc
-    return Povm(tuple(elements))
+    return Povm(elements)
 
 
 def state_to_json(state: PureState) -> dict:

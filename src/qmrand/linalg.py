@@ -58,10 +58,27 @@ def check_bounds(config, bounds: dict) -> None:
 
 def as_operator(entries, dim: int | None = None) -> np.ndarray:
     """Coerce to a square complex matrix, checking shape, size limits and finiteness."""
-    H = np.asarray(entries, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValidationError(f"operator must be square, got shape {H.shape}")
-    d = H.shape[0]
+    return _checked_operators(entries, 2, dim)
+
+
+def require_hermitian_stack(entries, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """A sequence of square operators of one dimension, or a (k, d, d) array, as a new
+    complex stack of Hermitian parts: each matrix gets the checks of ``as_operator``
+    and ``require_hermitian`` once."""
+    return hermitian_part(_checked_operators(entries, 3), tol)
+
+
+def _checked_operators(entries, ndim: int, dim: int | None = None) -> np.ndarray:
+    """``entries`` as a complex array of ``ndim`` axes, a matrix or a stack of them,
+    each square, finite and of a supported dimension (``dim``, when given)."""
+    try:
+        H = np.asarray(entries, dtype=complex)
+    except ValueError as exc:   # also a ragged sequence: matrices of different sizes
+        raise ValidationError(f"operators must be square matrices of one dimension ({exc})") from None
+    if H.ndim != ndim or H.shape[-1] != H.shape[-2]:
+        stack = "" if ndim == 2 else ", one (k, d, d) stack"
+        raise ValidationError(f"operator must be square{stack}, got shape {H.shape}")
+    d = H.shape[-1]
     if d < 1:
         raise ValidationError("operator dimension must be >= 1")
     if d > MAX_DIM:

@@ -16,9 +16,9 @@ from .linalg import (
     DomainError,
     ValidationError,
     as_operator,
-    is_psd,
     max_abs,
     require_hermitian,
+    require_hermitian_stack,
 )
 
 
@@ -52,30 +52,29 @@ class PureState:
 
 @dataclass(frozen=True)
 class Povm:
-    """Ordered POVM: >= 2 PSD elements summing to the identity."""
+    """Ordered POVM: >= 2 PSD elements summing to the identity.
 
-    elements: tuple
+    ``elements`` is one read-only complex (m, d, d) array, built from any
+    sequence of square matrices of one dimension, each validated once.
+    """
+
+    elements: np.ndarray
 
     def __post_init__(self):
-        elems = tuple(require_hermitian(E, tol=1e-9) for E in self.elements)
+        elems = require_hermitian_stack(self.elements, tol=1e-9)
         if len(elems) < 2:
             raise ValidationError("a POVM needs at least 2 elements")
-        d = elems[0].shape[0]
-        if any(E.shape[0] != d for E in elems):
-            raise ValidationError("all POVM elements must share one dimension")
-        for k, E in enumerate(elems):
-            if not is_psd(E):
-                raise ValidationError(f"POVM element {k} is not PSD within {FEASIBILITY_TOL:.1e}")
-        total = sum(elems)
-        if max_abs(total - np.eye(d)) > FEASIBILITY_TOL:
+        not_psd = np.flatnonzero(np.linalg.eigvalsh(elems)[:, 0] < -FEASIBILITY_TOL)
+        if not_psd.size:
+            raise ValidationError(f"POVM element {not_psd[0]} is not PSD within {FEASIBILITY_TOL:.1e}")
+        if max_abs(elems.sum(axis=0) - np.eye(elems.shape[1])) > FEASIBILITY_TOL:
             raise ValidationError("POVM elements do not sum to the identity")
-        for E in elems:
-            E.setflags(write=False)
+        elems.setflags(write=False)
         object.__setattr__(self, "elements", elems)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     @property
     def num_outcomes(self) -> int:
@@ -171,7 +170,7 @@ def coarse_grain(povm: Povm, partition) -> Povm:
     parts = validate_partition(partition, povm.num_outcomes)
     if len(parts) < 2:
         raise ValidationError("coarse-graining needs at least 2 parts")
-    return Povm(tuple(sum(povm.elements[x] for x in part) for part in parts))
+    return Povm([povm.elements[part].sum(axis=0) for part in parts])
 
 
 def half_dim(d: int) -> int:

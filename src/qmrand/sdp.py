@@ -30,46 +30,20 @@ objective upper-bounds the optimum, so every reported gap is certified.
 5. verify the decomposition to 1e-8, the certificate to 1e-9 against the
    POVM as given, and the gap.
 
-The slack Y_x - G_j - d_xj P_phi is formed only by ``_slacks``,
+Invariants: the slack Y_x - G_j - d_xj P_phi is formed only by ``_slacks``,
 multipliers become (Y, G) only through ``_Structure.dual``, and (Y, G) become
 a certificate only through ``_dual_certificate``.  Every affine step (Newton
 step, drift correction, face rounding, dual polish) is one least-squares
-solve, differing only in the scaling Phi, the gradient and the primal
-residual: ``_factored``, the one entry to the Newton system, factors the
-normal matrix of one Phi and returns its solve.  The normal matrix is
-factored densely below m n d^2 = 256, where Python call overhead dominates,
-and from there on by eliminating the outcome blocks first, leaving a Schur
-complement of size (n-1)(dd-1) (Fujisawa, Kojima and Nakata 1997; SDPT3) with
-the per-outcome solves batched.  Either factor feeds one corrected
-seminormal sweep (Bjorck 1987); a factor that ``_cholesky_lower`` finds
-singular up to rounding sends the solve to the one minimum-norm ``lstsq``
-fallback.  The barrier path factors each Phi once: a stage change and the
-drift correction reuse the factor.  Each block's scaling Phi is one real
-matrix product (``_sandwich``).  A non-finite squared decrement lam2 raises
-``SolverError`` as soon as it is computed, so neither the step length nor
-the stop rule ever reads one.  The step length minimises the step's exact
-change of the barrier, read from the eigenvalues of the scaled step, by
-damped Newton in one variable, so it factors nothing and never forms a
-barrier value; from lam2 < 1/16 it is the full step.  A stage stops at its
-tolerance or, as the barrier is self-concordant, once a full step from
-lam2 < 1/16 fails to cut lam2 4x: such a step moves only rounding, wherever
-the float floor of the decrement lies.
+solve through ``_factored``, the one entry to the Newton system; its Schur
+path follows Fujisawa, Kojima and Nakata (1997) and SDPT3.  No step length or
+stop rule reads a non-finite Newton decrement.
 
 A real POVM at a real state (every imaginary part exactly zero, the state
 read after ``PureState``'s phase gauge) is solved on the real-symmetric half
-of the Hermitian basis: dd = d(d+1)/2 coordinates per block instead of d^2,
-36 instead of 64 at d = 8 (Gatermann and Parrilo 2004, "Symmetry groups,
-semidefinite programs, and sums of squares").  Complex conjugation maps such
-an SDP to itself, and each barrier subproblem is strictly convex, so its
-unique centre is real.  At a real iterate the Newton system splits into
-real-symmetric and imaginary-antisymmetric coordinates, and the second part
-has a zero right-hand side: each step of the full basis is the step of the
-half, so every stage above runs as it is, with the same steps, on real
-matrices.  A real (Y, G) whose slacks are PSD as real symmetric matrices is
-a Hermitian certificate, and ``verify_dual_certificate`` checks it against
-the POVM as given.  Nothing selects this path but the input
-(``_problem_structure``), and the dense or Schur choice reads the shape
-m n d^2, so both halves of a twin take the same one.
+of the Hermitian basis, d(d+1)/2 coordinates per block instead of d^2
+(``_Structure``; Gatermann and Parrilo 2004, "Symmetry groups, semidefinite
+programs, and sums of squares").  Nothing selects this path but the input
+(``_problem_structure``).
 
 The solver needs numpy alone.  Each normal matrix is factored by
 ``np.linalg.cholesky`` and its factor inverted by 2x2 block recursion
@@ -93,7 +67,7 @@ from .linalg import (
     check_bounds,
     hermitian_part,
     max_abs,
-    require_hermitian,
+    require_hermitian_stack,
 )
 from .povm import NoiseModel, Povm, PureState, unbiased_state
 
@@ -138,14 +112,22 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Dual variables {Y_x}, {G_j} with tr G_j = 0 and Y_x >= d_xj P_phi + G_j."""
+    """Dual variables {Y_x}, {G_j} with tr G_j = 0 and Y_x >= d_xj P_phi + G_j.
 
-    Y: tuple
-    G: tuple
+    ``Y`` and ``G`` are read-only complex (m, d, d) and (n, d, d) arrays of one
+    dimension d, built from any sequences of square matrices, each validated once.
+    """
+
+    Y: np.ndarray
+    G: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "Y", tuple(require_hermitian(M, 1e-8) for M in self.Y))
-        object.__setattr__(self, "G", tuple(require_hermitian(M, 1e-8) for M in self.G))
+        Y, G = require_hermitian_stack(self.Y, 1e-8), require_hermitian_stack(self.G, 1e-8)
+        if Y.shape[1:] != G.shape[1:]:
+            raise ValidationError(f"certificate dimensions differ: Y {Y.shape[1]}, G {G.shape[1]}")
+        for name, stack in (("Y", Y), ("G", G)):
+            stack.setflags(write=False)
+            object.__setattr__(self, name, stack)
 
     def dual_value(self, povm: Povm) -> float:
         return float(sum(np.real(np.trace(Y @ M)) for Y, M in zip(self.Y, povm.elements)))
@@ -154,15 +136,14 @@ class DualCertificate:
         """The slacks Z[x, j] = Y_x - G_j - d_xj proj as an (m, n, d, d) stack.
 
         The certificate is feasible at the state with projector ``proj`` when
-        every slack is PSD and every G_j is traceless.  The constructor stores
-        Y and G as complex matrices, so the stack can take a complex ``proj``.
+        every slack is PSD and every G_j is traceless.
         """
         return _slacks(self.Y, self.G, proj)
 
 
-def _slacks(Y, G, proj: np.ndarray) -> np.ndarray:
-    """Z[x, j] = Y_x - G_j - d_xj proj for sequences of matrices Y and G."""
-    Z = np.stack(Y)[:, None] - np.stack(G)[None, :]
+def _slacks(Y: np.ndarray, G: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """Z[x, j] = Y_x - G_j - d_xj proj, complex, for stacks Y and G, real or complex."""
+    Z = np.subtract(Y[:, None], G[None, :], dtype=complex)
     diag = np.arange(min(len(Y), len(G)))
     Z[diag, diag] -= proj
     return Z
@@ -322,18 +303,18 @@ class _Structure:
         out[:, : n - 1] += nu[: self.group2_start].reshape(n - 1, self.s) @ self.tau
         return out.reshape(self.nblocks, dd)
 
-    def dual(self, nu: np.ndarray) -> tuple[list, list]:
-        """Dual matrices (Y, G) of multipliers ``nu`` in constraint-row layout.
+    def dual(self, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Dual stacks (Y, G), (m, d, d) and (n, d, d), of multipliers ``nu`` in
+        constraint-row layout.
 
         ``mats(apply_AT(nu))[x n + j]`` is Y_x - G_j: the group-2 rows of
         outcome x give Y_x and the group-1 rows of sub-POVM j give -G_j, with
         G_{n-1} = 0 because that family of rows is dropped.
         """
-        n1, dd, s = self.group2_start, self.dd, self.s
-        Y = [np.einsum("a,aij->ij", nu[n1 + x * dd : n1 + (x + 1) * dd], self.B)
-             for x in range(self.m)]
-        G = [-np.einsum("t,tij->ij", nu[j * s : (j + 1) * s], self.T)
-             for j in range(self.n - 1)] + [np.zeros((self.d, self.d), dtype=complex)]
+        n1 = self.group2_start
+        Y = np.einsum("xa,aij->xij", nu[n1:].reshape(self.m, self.dd), self.B)
+        G = np.zeros((self.n, self.d, self.d), dtype=self.T.dtype)
+        G[:-1] = -np.einsum("jt,tik->jik", nu[:n1].reshape(self.n - 1, self.s), self.T)
         return Y, G
 
     def on_faces(self, Z: np.ndarray) -> np.ndarray:
@@ -344,7 +325,8 @@ class _Structure:
         return P @ Z @ P + self.Pi.reshape(Z.shape)
 
     def coords(self, M: np.ndarray) -> np.ndarray:
-        return np.einsum("aij,ji->a", self.B, M).real
+        """Coordinates of a matrix, (dd,), or of a stack of them, (k, dd)."""
+        return np.einsum("aij,...ji->...a", self.B, M).real
 
     def mats(self, k: np.ndarray) -> np.ndarray:
         """Coordinates (nblocks, dd) -> stacked matrices (nblocks, d, d)."""
@@ -366,10 +348,9 @@ def _face_bases(povm: Povm, real: bool = False) -> list | None:
     """(V, r) per element: eigenvectors with range(M_x) in the last r columns, or None
     when every element has full rank.  Eigenvalues up to 1e-12 of the largest are
     rounding.  With ``real`` the elements' real parts are decomposed, so V is real."""
-    elements = (E.real for E in povm.elements) if real else povm.elements
-    bases = [(V, int(np.sum(w > 1e-12 * max(w[-1], 0.0))))
-             for w, V in map(np.linalg.eigh, elements)]
-    return None if all(r == povm.dim for _, r in bases) else bases
+    w, V = np.linalg.eigh(povm.elements.real if real else povm.elements)
+    ranks = np.sum(w > 1e-12 * np.maximum(w[:, -1:], 0.0), axis=1)
+    return None if np.all(ranks == povm.dim) else list(zip(V, ranks.tolist()))
 
 
 def _problem_structure(povm: Povm, state: PureState) -> _Structure:
@@ -378,7 +359,7 @@ def _problem_structure(povm: Povm, state: PureState) -> _Structure:
     that are exactly zero, reduced to the faces of rank-deficient elements, and shared
     through the ``_structure`` cache otherwise."""
     d, m = povm.dim, povm.num_outcomes
-    real = not (np.any(np.stack(povm.elements).imag) or np.any(state.amplitudes.imag))
+    real = not (np.any(povm.elements.imag) or np.any(state.amplitudes.imag))
     bases = _face_bases(povm, real)
     return _structure(d, m, m, real) if bases is None else _Structure(d, m, m, bases, real)
 
@@ -592,7 +573,7 @@ def _seminormal(fwd, back, solve, gtil: np.ndarray,
     return nu, gtil + back(nu)
 
 
-def _dual_certificate(st: _Structure, Y: list, G: list, proj: np.ndarray,
+def _dual_certificate(st: _Structure, Y: np.ndarray, G: np.ndarray, proj: np.ndarray,
                       tol: float) -> DualCertificate:
     """The dual certificate of (Y, G): shifted to feasibility on the faces, then lifted.
 
@@ -604,23 +585,23 @@ def _dual_certificate(st: _Structure, Y: list, G: list, proj: np.ndarray,
     largest eigenvalue of C^H A^-1 C - D over j (C, D: the cross and
     off-face blocks), which keeps an eigenvalue margin near delta / 2.  As
     tr M_x (I - P_x) = 0, the dual value rises by at most delta d = tol / 2,
-    while |Y| grows like 1 / delta.
+    while |Y| grows like 1 / delta.  Y and G are the stacks of ``_Structure.dual``,
+    Hermitian as built.
     """
-    cert = DualCertificate(tuple(Y), tuple(G))
-    min_slack = float(np.min(np.linalg.eigvalsh(st.on_faces(cert.slacks(proj)))))
+    min_slack = float(np.min(np.linalg.eigvalsh(st.on_faces(_slacks(Y, G, proj)))))
     shift = -min_slack + 1e-15 if min_slack < 0.0 else 0.0
     delta = tol / (2.0 * st.d) if st.reduced else 0.0
-    Y = [Yx + (shift + delta) * P for Yx, P in zip(cert.Y, st.P[:: st.n])]
+    Y = Y + (shift + delta) * st.P[:: st.n]
     for x, (V, r) in enumerate(st.bases):
         if r < st.d:
-            Z = _slacks(Y, cert.G, proj)[x]
+            Z = _slacks(Y, G, proj)[x]
             Vf, Vo = V[:, st.d - r :], V[:, : st.d - r]
             A, C = Vf.conj().T @ Z @ Vf, Vf.conj().T @ Z @ Vo
             deficit = C.conj().swapaxes(1, 2) @ np.linalg.solve(A, C) - Vo.conj().T @ Z @ Vo
             lam = np.max(np.linalg.eigvalsh(0.5 * (deficit + deficit.conj().swapaxes(1, 2))))
             Yx = Y[x] + (2.0 * max(lam, 0.0) + delta) * st.Pi[x * st.n]
             Y[x] = 0.5 * (Yx + Yx.conj().T)   # at |Y| ~ 1e9 rounding asymmetry passes 1e-8
-    return DualCertificate(tuple(Y), cert.G)
+    return DualCertificate(Y, G)
 
 
 def _step_length(X: np.ndarray, lam2: float) -> float:
@@ -735,7 +716,7 @@ def _barrier_path(
     # At the central point -t c - svec(K^-1) + A^T nu = 0 on the faces, so nu / t
     # are dual multipliers.
     Y, G = st.dual(nu)
-    cert = _dual_certificate(st, [Yx / t for Yx in Y], [Gj / t for Gj in G], proj, cfg.tol)
+    cert = _dual_certificate(st, Y / t, G / t, proj, cfg.tol)
     return k, cert, float(np.dot(c, k.reshape(st.nvar))), cert.dual_value(povm), iters
 
 
@@ -831,8 +812,8 @@ def solve_primal(
     # objective c.k and the start K[x][j] = M_x / n, strictly feasible on the faces.
     st = _problem_structure(povm, state)
     n = st.n
-    elements = st.P[::n] @ np.stack(povm.elements) @ st.P[::n] if st.reduced else povm.elements
-    coords = np.stack([st.coords(E) for E in elements])
+    elements = st.P[::n] @ povm.elements @ st.P[::n] if st.reduced else povm.elements
+    coords = st.coords(elements)
     b = np.concatenate([np.zeros(st.group2_start), coords.ravel()])
     proj = state.projector()
     c = np.zeros((m, n, st.dd))
@@ -901,7 +882,7 @@ def build_dual_certificate_noisy_projective(noise: NoiseModel) -> DualCertificat
              * ((np.sqrt(A) - np.sqrt(eps)) / (np.sqrt(A) + np.sqrt(eps))))
     sqrt_eps_d = np.sqrt(eps / d)
     sqrtA_d = np.sqrt(A / d)
-    Y, G = [], []
+    Y, G = np.empty((2, d, d, d), dtype=complex)
     for x in range(d):
         ex = eye[x]
         one_not_x = eye - np.outer(ex, ex)
@@ -909,15 +890,13 @@ def build_dual_certificate_noisy_projective(noise: NoiseModel) -> DualCertificat
         psi_not_x = psi_not_x / np.linalg.norm(psi_not_x)
         Tx = -gamma * (np.outer(ex, psi_not_x) + np.outer(psi_not_x, ex))
         inv_sqrt_Mx = np.sqrt(d / A) * np.outer(ex, ex) + np.sqrt(d / eps) * one_not_x
-        Y.append(trsqrt / d**2 * inv_sqrt_Mx + Tx)
+        Y[x] = trsqrt / d**2 * inv_sqrt_Mx + Tx
         sqrt_Mx_psi = sqrt_eps_d * psi + (sqrtA_d - sqrt_eps_d) * psi[x] * ex
-        G.append(
-            Tx
-            - (d - 1) / d * proj_psi
-            - alpha * (one_not_x - np.outer(psi_not_x, psi_not_x))
-            + beta * (eye - d * np.outer(sqrt_Mx_psi, sqrt_Mx_psi))
-        )
-    return DualCertificate(tuple(Y), tuple(G))
+        G[x] = (Tx
+                - (d - 1) / d * proj_psi
+                - alpha * (one_not_x - np.outer(psi_not_x, psi_not_x))
+                + beta * (eye - d * np.outer(sqrt_Mx_psi, sqrt_Mx_psi)))
+    return DualCertificate(Y, G)
 
 
 def verify_dual_certificate(cert: DualCertificate, state: PureState, povm: Povm,
@@ -928,21 +907,19 @@ def verify_dual_certificate(cert: DualCertificate, state: PureState, povm: Povm,
     guessing probability at the given state.  Slacks asymmetric beyond 1e-8
     raise ``ValidationError``; the rest are checked on their Hermitian part.
     """
-    if (any(Y.shape[0] != povm.dim for Y in cert.Y) or len(cert.Y) != povm.num_outcomes
-            or state.dim != povm.dim):
+    if cert.Y.shape != povm.elements.shape or state.dim != povm.dim:
         raise ValidationError("certificate shape does not match the POVM")
     Z = hermitian_part(cert.slacks(state.projector()), 1e-8, "dual slack")
     min_eig = float(np.min(np.linalg.eigvalsh(Z)))
-    max_trace = max(abs(float(np.real(np.trace(Gj)))) for Gj in cert.G)
+    max_trace = max_abs(np.trace(cert.G, axis1=1, axis2=2).real)
     feasible = (min_eig >= -tol) and (max_trace <= trace_tol)
-    return DualCheck(cert.dual_value(povm), feasible, min_eig, float(max_trace))
+    return DualCheck(cert.dual_value(povm), feasible, min_eig, max_trace)
 
 
 def complementary_slackness_residual(decomp: Decomposition, cert: DualCertificate,
                                      state: PureState) -> float:
     """max over (x, j) of the max-norm of K[x][j] (Y_x - d_xj P_phi - G_j)."""
-    if (decomp.dim != cert.Y[0].shape[0] or decomp.num_outcomes != len(cert.Y)
-            or decomp.num_subpovms != len(cert.G)):
+    if decomp.K.shape != cert.Y.shape[:1] + cert.G.shape:   # (m, n, d, d)
         raise ValidationError("decomposition and certificate shapes differ")
     if state.dim != decomp.dim:
         raise ValidationError("state dimension mismatch")
@@ -980,11 +957,18 @@ class StateSearch:
     """Best state found by the multistart search and its certified value."""
 
     state: PureState
-    value: float
     solve: SolveResult
-    starts: int
     converged: bool
     records: tuple[StartRecord, ...]
+
+    @property
+    def value(self) -> float:
+        return self.solve.value
+
+    @property
+    def starts(self) -> int:
+        """The starts tried, failed ones included: one record each."""
+        return len(self.records)
 
 
 def _state_from_params(x: np.ndarray, d: int) -> tuple[np.ndarray, PureState]:
@@ -1103,8 +1087,8 @@ def minimize_over_states(povm: Povm, config: SolverConfig | None = None) -> Stat
     # States unbiased to the eigenbases of the first two elements, and the
     # uniform state, each kept once.
     seen: list[np.ndarray] = []
-    for u in ([np.linalg.eigh(E)[1].sum(axis=1) / np.sqrt(d) for E in povm.elements[:2]]
-              + [np.full(d, 1.0 / np.sqrt(d), dtype=complex)]):
+    for u in [*np.linalg.eigh(povm.elements[:2])[1].sum(axis=2) / np.sqrt(d),
+              np.full(d, 1.0 / np.sqrt(d), dtype=complex)]:
         if not any(abs(abs(np.vdot(u, v)) - 1.0) < 1e-12 for v in seen):
             seen.append(u)
     starts = [np.concatenate([u.real, u.imag]) for u in seen]
@@ -1133,4 +1117,4 @@ def minimize_over_states(povm: Povm, config: SolverConfig | None = None) -> Stat
     best_value, best_state = results[0]
     final = solve_primal(povm, best_state, cfg)
     near = sum(val <= best_value + 1e-4 for val, _ in results)
-    return StateSearch(best_state, final.value, final, len(starts), near >= 2, tuple(records))
+    return StateSearch(best_state, final, near >= 2, tuple(records))

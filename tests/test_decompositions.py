@@ -294,6 +294,13 @@ class TestVerify:
         pv = random_qubit_two_outcome(rng)
         assert verify_decomposition(uninformative_decomposition(pv), pv, 1e-12).passed
 
+    def test_input_array_stays_writable(self):
+        # the caller's complex array is copied, not frozen in place
+        K = np.zeros((2, 2, 2, 2), dtype=complex)
+        dec = Decomposition(K)
+        K[0, 0, 0, 0] = 1.0
+        assert dec.K[0, 0, 0, 0] == 0.0 and not dec.K.flags.writeable
+
 
 class TestSymmetrization:
     def test_preserves_unbiased_value(self):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmrand import linalg
 from qmrand.linalg import DomainError, ValidationError, max_abs
 from qmrand.povm import (
     NoiseModel,
@@ -60,6 +61,57 @@ class TestPovmType:
     def test_rejects_incomplete(self):
         with pytest.raises(ValidationError):
             Povm((np.eye(2) / 2, np.eye(2) / 3))
+
+    @pytest.mark.parametrize("diagonals, first", [
+        ([(0.5, 0.5), (0.6, 0.1), (-0.1, 0.4)], 2),
+        ([(-0.1, 0.5), (0.2, -0.1), (0.9, 0.6)], 0),
+    ])
+    def test_non_psd_message_names_the_first_bad_element(self, diagonals, first):
+        with pytest.raises(ValidationError, match=rf"^POVM element {first} is not PSD within 1\.0e-09$"):
+            Povm([np.diag(w) for w in diagonals])
+
+    def test_elements_keep_sequence_behaviour(self):
+        pv = noisy_projective(3, 0.2)
+        M1, M2, M3 = pv.elements
+        assert len(pv.elements) == 3 and pv.elements.shape == (3, 3, 3)
+        assert [E.shape for E in pv.elements] == [(3, 3)] * 3
+        assert np.array_equal(pv.elements[1], M2) and np.array_equal(M1 + M2 + M3, np.eye(3))
+
+    def test_elements_are_read_only(self):
+        pv = noisy_projective(2, 0.2)
+        with pytest.raises(ValueError, match="read-only"):
+            pv.elements[0, 0, 0] = 1.0
+        E, _ = pv.elements
+        with pytest.raises(ValueError, match="read-only"):
+            E[1, 1] = 0.0
+
+    def test_tuple_list_and_array_inputs_agree(self):
+        elements = [np.diag([0.9, 0.2]), np.diag([0.1, 0.8])]
+        array = np.array(elements, dtype=complex)
+        stacks = [Povm(seq).elements for seq in (tuple(elements), elements, array)]
+        for stack in stacks:
+            assert stack.dtype == complex and np.array_equal(stack, stacks[0])
+        array[0, 0, 0] = 0.0   # the caller's array is copied, not frozen
+        assert stacks[2][0, 0, 0] == 0.9
+
+    def test_each_element_validated_once(self, monkeypatch):
+        # the Hermiticity check sees every element exactly once, the PSD test
+        # included: 6 matrices for two 3-element POVMs
+        seen = []
+        hermitian_part = linalg.hermitian_part
+
+        def spy(S, *args, **kwargs):
+            seen.append(S.size // S.shape[-1] ** 2)
+            return hermitian_part(S, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "hermitian_part", spy)
+        noisy_projective(3, 0.2)
+        Povm((np.eye(2) / 4, np.eye(2) / 4, np.eye(2) / 2))
+        assert sum(seen) == 6
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(ValidationError, match="one dimension"):
+            Povm((np.eye(2) / 2, np.eye(3) / 2))
 
 
 class TestDepolarize:

@@ -14,6 +14,7 @@ from qmrand.decompositions import (
     sqrt_decomposition_qudit,
     verify_decomposition,
 )
+import qmrand.linalg as linalg
 import qmrand.sdp as sdp
 from qmrand.linalg import SolverError, ValidationError
 from qmrand.povm import NoiseModel, Povm, PureState, noisy_projective, two_outcome_qubit, unbiased_state
@@ -738,15 +739,27 @@ class TestDualMaps:
             for j in range(m):
                 assert np.allclose(blocks[x * m + j], Y[x] - G[j], rtol=0, atol=1e-12)
         assert max(abs(np.trace(Gj)) for Gj in G) < 1e-12
+        # the stacks equal the per-outcome sums of the multipliers, to the last bit
+        n1, dd, s = st.group2_start, st.dd, st.s
+        for x in range(m):
+            assert np.array_equal(Y[x], np.einsum("a,aij->ij", nu[n1 + x * dd : n1 + (x + 1) * dd], st.B))
+        for j in range(m - 1):
+            assert np.array_equal(G[j], -np.einsum("t,tij->ij", nu[j * s : (j + 1) * s], st.T))
 
-    @pytest.mark.parametrize("m, n, real", [(3, 2, False), (2, 3, False), (3, 3, False),
-                                            (3, 3, True)])
-    def test_slacks_match_formula(self, rng, m, n, real):
+    @pytest.mark.parametrize("m, n, real, container", [
+        pytest.param(3, 2, False, tuple, id="3-2-False"),
+        pytest.param(2, 3, False, tuple, id="2-3-False"),
+        pytest.param(3, 3, False, tuple, id="3-3-False"),
+        pytest.param(3, 3, True, tuple, id="3-3-True"),
+        pytest.param(3, 2, False, list, id="3-2-False-list"),
+        pytest.param(3, 3, True, np.array, id="3-3-True-array"),
+    ])
+    def test_slacks_match_formula(self, rng, m, n, real, container):
         # real: real Y and G with a complex projector, as a hand-written certificate has them
         d = 3
         mats = [random_hermitian(rng, d) for _ in range(m + n)]
         mats = [M.real for M in mats] if real else mats
-        cert = DualCertificate(tuple(mats[:m]), tuple(mats[m:]))
+        cert = DualCertificate(container(mats[:m]), container(mats[m:]))
         proj = PureState(random_state_vector(rng, d)).projector()
         Z = cert.slacks(proj)
         assert Z.shape == (m, n, d, d)
@@ -967,6 +980,38 @@ class TestAnalyticDualCertificate:
         with pytest.raises(Exception):
             build_dual_certificate_noisy_projective(NoiseModel(3, 0.0))
 
+    @pytest.mark.parametrize("Y, G", [
+        ([np.eye(3)] * 3, [np.zeros((2, 2))] * 3),
+        ([np.eye(3), np.eye(3), np.eye(2)], [np.zeros((3, 3))] * 3),
+        ([np.eye(3)] * 3, [np.zeros((3, 3)), np.zeros((2, 2)), np.zeros((3, 3))]),
+    ])
+    def test_mismatched_dimensions_rejected(self, Y, G):
+        # refused on construction, before a check can broadcast Y against G
+        with pytest.raises(ValidationError, match="dimension"):
+            DualCertificate(Y, G)
+
+    def test_blocks_keep_sequence_behaviour_and_are_read_only(self):
+        cert = build_dual_certificate_noisy_projective(NoiseModel(3, 0.2))
+        Y1, Y2, Y3 = cert.Y
+        assert len(cert.Y) == len(cert.G) == 3 and cert.G.shape == (3, 3, 3)
+        assert [Gj.shape for Gj in cert.G] == [(3, 3)] * 3
+        assert np.array_equal(cert.Y[2], Y3)
+        for stack in (cert.Y, cert.G, Y1):
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0] = 0.0
+
+    def test_each_matrix_validated_once(self, monkeypatch):
+        seen = []
+        hermitian_part = linalg.hermitian_part
+
+        def spy(S, *args, **kwargs):
+            seen.append(S.size // S.shape[-1] ** 2)
+            return hermitian_part(S, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "hermitian_part", spy)
+        DualCertificate([np.eye(2)] * 3, [np.zeros((2, 2))] * 2)
+        assert sum(seen) == 5
+
 
 class TestMinimizeOverStates:
     def test_qubit_class(self, rng):
@@ -1033,7 +1078,8 @@ class TestMinimizeOverStates:
 
     def test_records_one_per_start(self):
         search = minimize_over_states(noisy_projective(2, 0.3), SolverConfig(multistarts=2))
-        assert len(search.records) == search.starts
+        assert len(search.records) == search.starts == 3
+        assert search.value == search.solve.value
         for rec in search.records:
             assert not rec.failed
             assert rec.iterations >= 0 and rec.solves >= rec.iterations + 1
